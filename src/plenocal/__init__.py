@@ -8,9 +8,8 @@ simulator provides ground truth for validation.
 """
 
 from . import errors
-from .calibration import (CalibrationOutput, CalibrationResult, QSolution,
-                          RefineOptions, calibrate, closed_form_intrinsics,
-                          estimate_homography, extrinsics_from_homography,
+from .calibration import (CalibrationOutput, CalibrationResult, RefineOptions,
+                          calibrate, estimate_homography, extrinsics_from_homography,
                           linear_calibrate, refine, scene_tpp_from_transform,
                           solve_q)
 from .evaluate import intrinsic_errors, mean_intrinsic_error, pose_errors

@@ -2,14 +2,14 @@
 
 Linear stage: decoded rays of each pose constrain a 4x3 plane-to-space
 homography; the rotation-column orthogonality of at least three homographies
-pins the six distinct entries of the inverse-Gram form Q of the plane
-transform, whose entries invert in closed form to the transform parameters;
-extrinsics then follow column-by-column.  The transform parameters are mapped
-through the decode setting to the scene-side camera parameters.
+is solved in closed form straight to the plane-transform parameters
+(k_xy, k_uv, u_0, v_0, f); extrinsics then follow column-by-column.  The
+transform parameters are mapped through the decode setting to the scene-side
+camera parameters.
 
 Refinement: damped least squares on the re-projection error over intrinsics,
 two-plane distortion and all poses, with the analytic Jacobian from the
-projection module.
+projection module, linearized once per accepted step.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from .errors import (BehindPlane, DegenerateBoard, DivergedOptimization,
                      IllConditioned, InsufficientData, InsufficientPoses,
                      MissingReference, NegativeDiscriminant, NonFiniteResidual,
                      ReflectionDetected)
-from .projection import (DistortionParams, Observation, Pose, ProjectionBatch,
-                         observation_batch, project_pixels, residuals)
+from .projection import (DistortionParams, Observation, Pose, observation_batch,
+                         project_pixels, residuals)
 from .rotation import nearest_rotation, rodrigues_vector
-from .tpp import TppParams, decode_virtual_rays, projective_matrix, rays_to_array
+from .rectification import _normalize_2d
+from .tpp import TppParams, decode_virtual_rays, incidence_matrix, projective_matrix
 
 _HOMOGRAPHY_RANK_TOL = 1e-8
 _Q_COLLAPSE_RATIO = 0.05
@@ -38,26 +39,6 @@ _LM_UP, _LM_DOWN = 10.0, 0.1
 _LM_MAX_REJECTED = 20
 _GRAD_TOL = 1e-10                # relative to the initial gradient inf-norm
 _STEP_TOL = 1e-12
-
-
-@dataclass(frozen=True, slots=True)
-class QSolution:
-    """Distinct entries of the inverse-Gram form, with its recovered scale."""
-
-    q11: float
-    q13: float
-    q23: float
-    q33: float
-    q34: float
-    q44: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if self.q11 <= 0 or self.q44 <= 0:
-            raise NegativeDiscriminant(
-                f"diagonal entries must be positive, got q11={self.q11}, q44={self.q44}")
-        if self.lam <= 0:
-            raise NegativeDiscriminant(f"recovered scale is not positive: {self.lam}")
 
 
 @dataclass
@@ -97,40 +78,30 @@ class CalibrationOutput:
     trace: list[dict] = field(default_factory=list)
 
 
-def _normalize_board(points: np.ndarray):
-    mean = points.mean(axis=0)
-    rms = np.sqrt(np.mean(np.sum((points - mean) ** 2, axis=1)))
-    s = 1.0 if rms == 0.0 else math.sqrt(2.0) / rms
-    T = np.array([[s, 0.0, -s * mean[0]], [0.0, s, -s * mean[1]], [0.0, 0.0, 1.0]])
-    return (points - mean) * s, T
-
-
 def estimate_homography(rays_per_point) -> np.ndarray:
     """Estimate the 4x3 homography from board points to decoded-ray space.
 
-    ``rays_per_point`` pairs each board (X, Y) with the decoded rays of its
-    projections in one raw image.  Board and ray coordinates are both
-    normalized before the null-space solve and the result de-normalized,
-    Frobenius-normalized, and sign-fixed so H[3, 2] > 0.
+    ``rays_per_point`` pairs each board (X, Y) with the (m, 5) array of
+    decoded rays of its projections in one raw image.  Board and ray
+    coordinates are both normalized before the null-space solve and the
+    result de-normalized, Frobenius-normalized, and sign-fixed so H[3, 2] > 0.
     """
     if len(rays_per_point) < _MIN_BOARD_POINTS:
         raise InsufficientData(
             f"need at least {_MIN_BOARD_POINTS} board points, got {len(rays_per_point)}")
     board = np.asarray([xy for xy, _ in rays_per_point], dtype=float)
-    ray_arrays = []
-    for xy, rays in rays_per_point:
-        arr = rays if isinstance(rays, np.ndarray) else rays_to_array(rays)
-        if arr.shape[0] < 2:
-            raise InsufficientData(
-                f"board point {tuple(xy)} has fewer than 2 decoded rays")
-        ray_arrays.append(arr)
+    counts = np.array([len(r) for _, r in rays_per_point])
+    if np.any(counts < 2):
+        xy = rays_per_point[int(np.argmax(counts < 2))][0]
+        raise InsufficientData(f"board point {tuple(xy)} has fewer than 2 decoded rays")
+    rays = np.vstack([r for _, r in rays_per_point])
 
-    board_n, Tb = _normalize_board(board)
+    board_n, Tb = _normalize_2d(board)
 
     # normalize ray coordinates: common planar shift and a global scale keep
     # the incidence rows balanced; both are exact similarities of the decoded
     # 3D frame and are undone on H afterwards.
-    planar = np.vstack([np.vstack([a[:, 0:2], a[:, 2:4]]) for a in ray_arrays])
+    planar = np.vstack([np.vstack([r[:, 0:2], r[:, 2:4]]) for _, r in rays_per_point])
     shift = -planar.mean(axis=0)
     rms = np.sqrt(np.mean(np.sum((planar + shift) ** 2, axis=1)))
     scale = 1.0 if rms == 0.0 else math.sqrt(2.0) / rms
@@ -139,24 +110,10 @@ def estimate_homography(rays_per_point) -> np.ndarray:
                    [0.0, 0.0, scale, 0.0],
                    [0.0, 0.0, 0.0, 1.0]])
 
-    blocks = []
-    for (bx, by), arr in zip(board_n, ray_arrays):
-        x = scale * (arr[:, 0] + shift[0])
-        y = scale * (arr[:, 1] + shift[1])
-        u = scale * (arr[:, 2] + shift[0])
-        v = scale * (arr[:, 3] + shift[1])
-        f = scale * arr[:, 4]
-        m = arr.shape[0]
-        M = np.zeros((2 * m, 4))
-        M[0::2, 0] = f
-        M[0::2, 2] = x - u
-        M[0::2, 3] = -f * x
-        M[1::2, 1] = f
-        M[1::2, 2] = y - v
-        M[1::2, 3] = -f * y
-        xb = np.array([bx, by, 1.0])
-        blocks.append(np.einsum("rk,c->rkc", M, xb).reshape(2 * m, 12))
-    A = np.vstack(blocks)
+    # each incidence row of a ray times its board point (X, Y, 1)
+    M = incidence_matrix(scale * (rays + [shift[0], shift[1], shift[0], shift[1], 0.0]))
+    xb = np.repeat(np.column_stack([board_n, np.ones(len(board_n))]), 2 * counts, axis=0)
+    A = np.einsum("rk,rc->rkc", M, xb).reshape(-1, 12)
 
     col = np.linalg.norm(A, axis=0)
     col[col == 0.0] = 1.0
@@ -198,7 +155,8 @@ def _orthogonality_rows(H: np.ndarray) -> np.ndarray:
 
 def _q_entries(k_xy: float, k_uv: float, u_0: float, v_0: float, f: float,
                f_prime: float) -> np.ndarray:
-    """Exact distinct entries of P^-T P^-1 for the plane transform."""
+    """Exact distinct entries of P^-T P^-1 for the plane transform: the
+    paper's closed form of Q, kept as the reference the tests check."""
     q11 = 1.0 / (f**2 * k_xy**2 * k_uv**2)
     q13 = -u_0 * q11 / f_prime
     q23 = -v_0 * q11 / f_prime
@@ -209,22 +167,23 @@ def _q_entries(k_xy: float, k_uv: float, u_0: float, v_0: float, f: float,
     return np.array([q11, q13, q23, q33, q34, q44])
 
 
-def solve_q(homographies, f_prime: float) -> QSolution:
-    """Solve the six distinct entries of Q from at least three homographies.
+def solve_q(homographies, f_prime: float
+            ) -> tuple[float, float, float, float, float]:
+    """Solve the plane-transform parameters (k_xy, k_uv, u_0, v_0, f) from
+    the rotation-column orthogonality of at least three homographies.
 
-    The naive six-unknown null-space solve is numerically rank deficient: the
-    q34/q44 columns are weaker than the rest by the square of the small ratio
-    (k_x - k_u)/(f' k_x), which buries them below double precision.  The
-    same constraints are therefore solved by structured elimination:
+    The constraints are linear in the six distinct entries of the
+    inverse-Gram form Q = P^-T P^-1, but the naive six-unknown null-space
+    solve is numerically rank deficient: the q34/q44 columns are weaker than
+    the rest by the square of the small ratio (k_x - k_u)/(f' k_x), which
+    buries them below double precision.  The same constraints are therefore
+    solved by structured elimination, which yields the parameters directly:
 
     * rows 1-3 of each H are a planar-target pinhole problem whose patterned
       inverse-Gram form gives the parameter shape (a/c, u_0/f', v_0/f');
     * row 4 gives the ratio (k_x - k_u)/(f' k_x) directly, linearly in H;
     * the translation column's unit homogeneous component pins the absolute
       scale through f k_u = sigma (h43 - rho h33).
-
-    The exact Q entries are rebuilt from the recovered parameters, normalized
-    to a unit 6-vector with its scale in ``lam``.
     """
     hs = [np.asarray(H, dtype=float) for H in homographies]
     if len(hs) < 3:
@@ -290,32 +249,7 @@ def solve_q(homographies, f_prime: float) -> QSolution:
     if k_x <= 0 or k_u <= 0 or f <= 0:
         raise NegativeDiscriminant(
             f"recovered scales not positive: k_xy={k_x}, k_uv={k_u}, f={f}")
-
-    q = _q_entries(k_x, k_u, u_0, v_0, f, f_prime)
-    lam = 1.0 / float(np.linalg.norm(q))
-    q = q * lam
-    return QSolution(*q, lam)
-
-
-def closed_form_intrinsics(q: QSolution, f_prime: float
-                           ) -> tuple[float, float, float, float, float]:
-    """Invert Q's entries to (k_xy, k_uv, u_0, v_0, f) of the plane transform."""
-    ratio = q.q44 / q.q11
-    if ratio <= 0:
-        raise NegativeDiscriminant(f"q44/q11 = {ratio} has no real square root")
-    k_xy = math.sqrt(ratio)
-    k_uv = k_xy * (1.0 + f_prime * q.q34 / q.q44)
-    if k_uv <= 0:
-        raise NegativeDiscriminant(f"recovered u-v scale is not positive: {k_uv}")
-    u_0 = -f_prime * q.q13 / q.q11
-    v_0 = -f_prime * q.q23 / q.q11
-    arg = q.lam / q.q44
-    if arg <= 0:
-        raise NegativeDiscriminant(f"lambda/q44 = {arg} has no real square root")
-    f = math.sqrt(arg) / k_uv
-    if f <= 0:
-        raise NegativeDiscriminant(f"recovered plane separation is not positive: {f}")
-    return k_xy, k_uv, u_0, v_0, f
+    return k_x, k_u, u_0, v_0, f
 
 
 def extrinsics_from_homography(H: np.ndarray, P: np.ndarray) -> Pose:
@@ -395,7 +329,7 @@ def _group_rays(observations, board_points, setting: TppParams):
 
 def linear_calibrate(observations, board_points, setting: TppParams
                      ) -> tuple[CalibrationResult, tuple]:
-    """Closed-form stage: homographies, Q, intrinsics, extrinsics, gauge map.
+    """Closed-form stage: homographies, plane transform, extrinsics, gauge map.
 
     Returns the scene-side result (zero distortion) and the raw transform
     parameters (k_xy, k_uv, u_0, v_0, f) for diagnostics.
@@ -407,8 +341,7 @@ def linear_calibrate(observations, board_points, setting: TppParams
         raise InsufficientPoses(f"need at least 3 poses, got {len(grouped)}")
     homographies = {pid: estimate_homography(entries)
                     for pid, entries in grouped.items()}
-    q = solve_q(list(homographies.values()), setting.f_prime)
-    k_xy, k_uv, u_0, v_0, f = closed_form_intrinsics(q, setting.f_prime)
+    k_xy, k_uv, u_0, v_0, f = solve_q(list(homographies.values()), setting.f_prime)
     P = projective_matrix(TppParams.isotropic(k_xy, k_uv, u_0, v_0, f,
                                               f_prime=setting.f_prime))
     poses = [extrinsics_from_homography(homographies[pid], P)
@@ -506,14 +439,11 @@ def refine(initial: CalibrationResult, observations, board_points,
     options = options or RefineOptions()
     if len(initial.poses) < 3:
         raise InsufficientPoses(f"refinement needs >= 3 poses, got {len(initial.poses)}")
-    if isinstance(initial.poses, dict):
-        pose_map = dict(initial.poses)
-    else:
-        seen_ids = sorted({o.pose_id for o in observations})
-        if len(seen_ids) != len(initial.poses):
-            raise MissingReference(
-                f"{len(initial.poses)} initial poses for {len(seen_ids)} pose ids")
-        pose_map = dict(zip(seen_ids, initial.poses))
+    seen_ids = sorted({o.pose_id for o in observations})
+    if len(seen_ids) != len(initial.poses):
+        raise MissingReference(
+            f"{len(initial.poses)} initial poses for {len(seen_ids)} pose ids")
+    pose_map = dict(zip(seen_ids, initial.poses))
     batch, observed, pose_ids, _ = observation_batch(observations, board_points,
                                                      pose_map)
     n_poses = len(pose_ids)
@@ -532,7 +462,9 @@ def refine(initial: CalibrationResult, observations, board_points,
         None when the candidate parameters are not evaluable (rejected)."""
         try:
             tpp, dist, poses = _unpack(th, n_poses, centers, fixed_centers, f_prime)
-            out = project_pixels(replace_batch_poses(batch, poses), tpp, dist,
+            posed = replace(batch, rvecs=np.stack([p.rotation for p in poses]),
+                            tvecs=np.stack([p.translation for p in poses]))
+            out = project_pixels(posed, tpp, dist,
                                  jacobian=with_jacobian, optimize_centers=centers)
         except (ValueError, BehindPlane):
             return None
@@ -546,17 +478,23 @@ def refine(initial: CalibrationResult, observations, board_points,
     if not options.optimize_xy_distortion:
         active[5:7] = False              # freeze s1, s2 at their initial values
 
-    first = evaluate(theta, True)
-    if first is None:
-        raise NonFiniteResidual("initial parameters are not evaluable")
-    r, J = first
-    if not np.all(np.isfinite(J)):
-        raise NonFiniteResidual("Jacobian evaluation produced NaN/Inf")
+    def linearize(th: np.ndarray):
+        """Residuals r, gradient g and Gauss-Newton matrix A over the active
+        parameters in scaled space; no 2N x cols array outlives the call."""
+        ev = evaluate(th, True)
+        if ev is None:
+            raise NonFiniteResidual("parameters are not evaluable")
+        r, J = ev
+        if not np.all(np.isfinite(J)):
+            raise NonFiniteResidual("Jacobian evaluation produced NaN/Inf")
+        J *= -scales                     # residual Jacobian, scaled space
+        if not active.all():
+            J = J[:, active]
+        return r, J.T @ r, J.T @ J
+
+    r, g, A = linearize(theta)
     cost = float(r @ r)
-    Js = (-J * scales[None, :])[:, active]   # residual Jacobian, scaled space
-    g = Js.T @ r
     g0_inf = float(np.abs(g).max())
-    A = Js.T @ Js
     damping = _LM_DAMPING_INIT * float(np.trace(A))
 
     trace: list[dict] = []
@@ -583,12 +521,7 @@ def refine(initial: CalibrationResult, observations, board_points,
                       "grad_inf": float(np.abs(g).max())})
         if accepted:
             theta, cost = candidate, new_cost
-            r, J = evaluate(theta, True)
-            if not np.all(np.isfinite(J)):
-                raise NonFiniteResidual("Jacobian evaluation produced NaN/Inf")
-            Js = (-J * scales[None, :])[:, active]
-            g = Js.T @ r
-            A = Js.T @ Js
+            r, g, A = linearize(theta)
             damping *= _LM_DOWN
             rejected_run = 0
         else:
@@ -608,13 +541,6 @@ def refine(initial: CalibrationResult, observations, board_points,
     rms = float(np.sqrt(np.mean(res**2)))
     result = CalibrationResult(tpp, dist, poses, rms, residual_histogram(res))
     return result, trace
-
-
-def replace_batch_poses(batch: ProjectionBatch, poses) -> ProjectionBatch:
-    """New batch with the same points/lenses but fresh pose parameters."""
-    return ProjectionBatch(batch.points_w, batch.lenses, batch.pose_index,
-                           np.stack([p.rotation for p in poses]),
-                           np.stack([p.translation for p in poses]))
 
 
 def calibrate(observations, board_points, setting: TppParams,

@@ -121,8 +121,7 @@ def cmd_simulate(args) -> int:
         observations = synthesize_observations(
             camera, board, poses, dist, cfg["sigma"], cfg["seed"] + 1,
             misalignment=mla)
-        _, tpp_out = physical_to_tpp(camera)
-        tpp_in, _ = physical_to_tpp(camera)
+        tpp_in, tpp_out = physical_to_tpp(camera)
         io.write_observations(
             out / "observations.json", observations,
             board_rows=board.rows, board_cols=board.cols, cell_mm=board.cell,

@@ -8,6 +8,7 @@ the payloads, so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -150,7 +151,11 @@ def write_observations(path, observations: list[Observation], *, board_rows: int
 
 
 def read_observations(path):
-    """Returns (observations, board_points_px dict, meta dict)."""
+    """Returns (observations, board_points_px dict, meta dict).
+
+    Raises ValueError on a non-finite pixel or on a (pose, point, lens)
+    record that appears more than once.
+    """
     payload = load_json(path)
     if payload.get("schema") != OBSERVATIONS_SCHEMA:
         raise ValueError(f"{path}: unexpected schema {payload.get('schema')!r}")
@@ -163,12 +168,20 @@ def read_observations(path):
             points[r * int(board["cols"]) + c] = np.array(
                 [c * cell[0] / pitch, r * cell[1] / pitch])
     observations = []
+    seen = set()
     for pose in payload["poses"]:
         pid = int(pose["id"])
         for rec in pose["observations"]:
-            observations.append(Observation(
+            o = Observation(
                 pid, int(rec["point_id"]), int(rec["lens"][0]), int(rec["lens"][1]),
-                float(rec["pixel"][0]), float(rec["pixel"][1])))
+                float(rec["pixel"][0]), float(rec["pixel"][1]))
+            key = (o.pose_id, o.point_id, o.lens_i, o.lens_j)
+            if not (math.isfinite(o.px) and math.isfinite(o.py)):
+                raise ValueError(f"{path}: non-finite pixel for (pose, point, lens) {key}")
+            if key in seen:
+                raise ValueError(f"{path}: repeated (pose, point, lens) record {key}")
+            seen.add(key)
+            observations.append(o)
     meta = {"board": board, "pixel_pitch_mm": pitch,
             "sensor_px": tuple(payload.get("sensor_px", (0, 0)))}
     return observations, points, meta
@@ -238,9 +251,6 @@ def write_report(path, output: CalibrationOutput, *, options: dict) -> None:
         "refinement": {
             "iterations": len(output.trace),
             "accepted_steps": sum(1 for t in output.trace if t["accepted"]),
-            # second rotation column uses the plain matrix inverse; the
-            # squared-inverse reading is dimensionally inconsistent here
-            "rotation_column_normalization": "inverse",
             "trace": output.trace,
         },
     }

@@ -312,7 +312,7 @@ def estimate_rectifying_homography(centers: list[MicroImageCenter],
     A[1::2, 5] = -1.0
     A[1::2, 6:8] = dn[:, 1:2] * sn
     A[1::2, 8] = dn[:, 1]
-    _, s, Vt = np.linalg.svd(A)
+    _, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s[-2] < _DLT_RANK_TOL * s[0]:
         raise DegenerateConfiguration("homography system is rank deficient")
     Hn = Vt[-1].reshape(3, 3)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from plenocal import simulator as sim
-from plenocal.calibration import (CalibrationResult, QSolution, RefineOptions,
-                                  calibrate, closed_form_intrinsics,
-                                  estimate_homography, extrinsics_from_homography,
-                                  linear_calibrate, orthonormality_defect, refine,
+from plenocal.calibration import (CalibrationResult, RefineOptions, _q_entries,
+                                  calibrate, estimate_homography,
+                                  extrinsics_from_homography, linear_calibrate,
+                                  orthonormality_defect, refine,
                                   scene_tpp_from_transform, solve_q)
 from plenocal.errors import (DegenerateBoard, IllConditioned, InsufficientData,
                              InsufficientPoses, NegativeDiscriminant)
@@ -128,15 +128,12 @@ class TestHomography:
 class TestSolveQ:
     def test_exact_recovery(self, clean_observations, board_points, setting,
                             tpp_truth):
-        from plenocal.calibration import _group_rays, _q_entries
+        from plenocal.calibration import _group_rays
         grouped = _group_rays(clean_observations, board_points, setting)
         hs = [estimate_homography(entries) for _, entries in sorted(grouped.items())]
-        q = solve_q(hs, setting.f_prime)
         xd = transform_params(setting, tpp_truth)
-        truth = _q_entries(xd.k_x, xd.k_u, xd.u_0, xd.v_0, xd.f, setting.f_prime)
-        truth = truth / np.linalg.norm(truth)
-        got = np.array([q.q11, q.q13, q.q23, q.q33, q.q34, q.q44])
-        np.testing.assert_allclose(got, truth, rtol=1e-8, atol=1e-8 * abs(truth).max())
+        np.testing.assert_allclose(solve_q(hs, setting.f_prime),
+                                   [xd.k_x, xd.k_u, xd.u_0, xd.v_0, xd.f], rtol=1e-8)
 
     def test_two_poses_insufficient(self, gauge_setup):
         _, P = gauge_setup
@@ -172,23 +169,18 @@ class TestClosedForm:
             params = TppParams.isotropic(k_xy, k_uv, rng.normal() * 500,
                                          rng.normal() * 500, rng.uniform(100, 5000),
                                          f_prime=rng.uniform(50, 800))
-            lam = rng.uniform(0.1, 10.0)
-            q = lam * self.q_from_matrix(params)
-            sol = QSolution(*q, lam)
-            k1, k2, u0, v0, f = closed_form_intrinsics(sol, params.f_prime)
+            rng.uniform(0.1, 10.0)      # unused Q-scale draw keeps seed 5's sequence
+            q = self.q_from_matrix(params)
             np.testing.assert_allclose(
-                [k1, k2, u0, v0, f],
-                [params.k_x, params.k_u, params.u_0, params.v_0, params.f],
-                rtol=1e-12, atol=1e-12)
+                _q_entries(k_xy, k_uv, params.u_0, params.v_0, params.f, params.f_prime),
+                q, rtol=1e-12)
 
     def test_symmetric_camera_branch(self):
         params = TppParams.isotropic(0.8, 0.8, 0.0, 0.0, 2000.0, f_prime=300.0)
         q = self.q_from_matrix(params)
         assert q[1] == q[2] == q[4] == 0.0
-        sol = QSolution(*q, 1.0)
-        k1, k2, u0, v0, f = closed_form_intrinsics(sol, 300.0)
-        np.testing.assert_allclose([k1, k2, u0, v0, f],
-                                   [0.8, 0.8, 0.0, 0.0, 2000.0], rtol=1e-12)
+        np.testing.assert_allclose(_q_entries(0.8, 0.8, 0.0, 0.0, 2000.0, 300.0), q,
+                                   rtol=1e-12)
 
     def test_full_pipeline_loop_closure(self, clean_observations, board_points,
                                         setting, tpp_truth):
@@ -196,11 +188,14 @@ class TestClosedForm:
         errs = intrinsic_errors(result.tpp, tpp_truth)
         assert max(errs.values()) < 1e-6
 
-    def test_negative_discriminant(self):
+    def test_negative_discriminant(self, gauge_setup, setting, poses12):
+        _, P = gauge_setup
+        hs = [synthetic_homography(P, pose) for pose in poses12]
+        for H in hs:
+            # fourth-row ratio 2/f' makes k_u/k_x = 1 - f' * 2/f' = -1
+            H[3, :2] = (2.0 / setting.f_prime) * H[2, :2]
         with pytest.raises(NegativeDiscriminant):
-            QSolution(1.0, 0.0, 0.0, 1.0, 0.0, -1.0, 1.0)
-        with pytest.raises(NegativeDiscriminant):
-            QSolution(1.0, 0.0, 0.0, 1.0, 0.0, 1.0, -2.0)
+            solve_q(hs, setting.f_prime)
 
 
 class TestExtrinsics:
@@ -277,6 +272,19 @@ class TestRefine:
         out = calibrate(noisy_observations, board_points, setting,
                         RefineOptions(sensor_size=camera.sensor_resolution))
         assert 0.8 * 0.3 <= out.refined.rms <= 1.2 * 0.3
+
+    def test_free_distortion_centers(self, noisy_observations, board_points,
+                                     setting, camera):
+        out = calibrate(noisy_observations, board_points, setting,
+                        RefineOptions(optimize_distortion_centers=True,
+                                      sensor_size=camera.sensor_resolution))
+        costs = [t["cost"] for t in out.trace if t["accepted"]]
+        assert len(costs) > 1
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
+        assert out.refined.rms <= out.linear.rms
+        assert 0.8 * 0.3 <= out.refined.rms <= 1.2 * 0.3
+        d = out.refined.dist
+        assert np.all(np.isfinite([d.x_c, d.y_c, d.u_c, d.v_c]))
 
     def test_too_few_poses(self, board_points, tpp_truth):
         init = CalibrationResult(tpp_truth, DistortionParams(),

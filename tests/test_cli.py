@@ -120,6 +120,45 @@ class TestCalibrate:
         assert 0.24 <= report["refined"]["rms_px"] <= 0.36
 
 
+def tampered_observations(sim_dir, tmp_path, edit):
+    """Copy of the simulated observations file after ``edit(payload)``."""
+    payload = json.loads((sim_dir / "observations.json").read_text())
+    edit(payload)
+    path = tmp_path / "observations.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def nan_pixel(payload):
+    payload["poses"][0]["observations"][0]["pixel"][0] = float("nan")
+
+
+class TestIngestValidation:
+    def test_nan_pixel_with_setting_exit_2(self, sim_dir, tmp_path):
+        obs = tampered_observations(sim_dir, tmp_path, nan_pixel)
+        setting_path = tmp_path / "setting.json"
+        setting_path.write_text(json.dumps(
+            io.read_ground_truth(sim_dir / "ground_truth.json")["setting"]))
+        assert run("calibrate", obs, "--out", tmp_path / "cal",
+                   "--setting", setting_path) == 2
+
+    def test_nan_pixel_without_setting_exit_2(self, sim_dir, tmp_path, caplog):
+        obs = tampered_observations(sim_dir, tmp_path, nan_pixel)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert "non-finite pixel" in caplog.text
+        assert "micro-image pitch" not in caplog.text
+
+    def test_duplicate_record_exit_2(self, sim_dir, tmp_path, caplog):
+        def duplicate(payload):
+            records = payload["poses"][0]["observations"]
+            records.append(dict(records[0]))
+        obs = tampered_observations(sim_dir, tmp_path, duplicate)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
+                   "--out", tmp_path / "rect") == 2
+        assert "repeated (pose, point, lens)" in caplog.text
+
+
 class TestEvaluate:
     def test_noise_free_errors_vanish(self, sim_dir, tmp_path):
         cal = tmp_path / "cal"

@@ -14,15 +14,15 @@ from .calibration import (CalibrationOutput, CalibrationResult, RefineOptions,
                           solve_q)
 from .evaluate import intrinsic_errors, mean_intrinsic_error, pose_errors
 from .projection import (DistortionParams, Observation, Pose, apply_distortion,
-                         project_point, residuals, undistort)
+                         residuals, undistort)
 from .rectification import (MicroImageCenter, MlaMisalignmentSpec, detect_centers,
-                            estimate_rectifying_homography, project_center,
+                            estimate_rectifying_homography, project_centers,
                             read_pgm, rectify_observations, row_slopes, write_pgm)
 from .simulator import (BoardSpec, PhysicalCameraSpec, PoseEnvelope,
                         default_envelope, default_setting, generate_poses,
                         reference_board, reference_camera, physical_to_tpp,
                         synthesize_observations, synthesize_white_image)
-from .tpp import (Point3, Ray4D, TppParams, decode_virtual_ray, incidence_rows,
+from .tpp import (Point3, TppParams, decode_virtual_rays, incidence_matrix,
                   projective_matrix, transform_point, triangulate)
 
 __version__ = "0.1.0"

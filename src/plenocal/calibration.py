@@ -307,6 +307,34 @@ def residual_histogram(res: np.ndarray, bin_width: float = 0.1
     return [(float(e), int(c)) for e, c in zip(edges[:-1], counts)]
 
 
+def setting_from_observations(observations, sensor_px) -> TppParams:
+    """Heuristic decode setting for data that comes without one.
+
+    Unit x-y scale, the micro-image pitch fitted to the mean pixel position
+    of each lens label, offsets at the image center (half of ``sensor_px``
+    when given, else of the observed extent), and a plane separation in the
+    same regime.  Raises ValueError when no positive pitch can be fitted.
+    """
+    lenses = np.array([(o.lens_i, o.lens_j) for o in observations], dtype=int)
+    if len(lenses) == 0:
+        raise ValueError("cannot estimate a micro-image pitch from the observations")
+    pixels = np.array([(o.px, o.py) for o in observations], dtype=float)
+    labels, inverse = np.unique(lenses, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    counts = np.bincount(inverse)
+    means = np.column_stack([np.bincount(inverse, weights=pixels[:, k]) / counts
+                             for k in (0, 1)])
+    A = np.column_stack([labels, np.ones(len(labels))])
+    coef_x, *_ = np.linalg.lstsq(A, means[:, 0], rcond=None)
+    coef_y, *_ = np.linalg.lstsq(A, means[:, 1], rcond=None)
+    pitch = (abs(coef_x[0]) + abs(coef_y[1])) / 2.0
+    if not np.isfinite(pitch) or pitch <= 0:
+        raise ValueError("cannot estimate a micro-image pitch from the observations")
+    w, h = sensor_px if sensor_px and sensor_px[0] else (2.0 * means[:, 0].max(),
+                                                         2.0 * means[:, 1].max())
+    return TppParams.isotropic(1.0, pitch, w / 2.0, h / 2.0, 11.0 * pitch)
+
+
 def _group_rays(observations, board_points, setting: TppParams):
     """Per pose id, the (board XY, decoded ray array) pairs the DLT consumes."""
     by_pose: dict[int, dict[int, list[Observation]]] = {}
@@ -545,7 +573,14 @@ def refine(initial: CalibrationResult, observations, board_points,
 
 def calibrate(observations, board_points, setting: TppParams,
               options: RefineOptions | None = None) -> CalibrationOutput:
-    """Full pipeline: closed-form initialization then damped least squares."""
-    linear, _ = linear_calibrate(observations, board_points, setting)
-    refined, trace = refine(linear, observations, board_points, options)
+    """Full pipeline: closed-form initialization then damped least squares.
+
+    A linear-algebra failure inside either stage (say, a normalization that
+    overflowed on extreme pixel values) is raised as IllConditioned.
+    """
+    try:
+        linear, _ = linear_calibrate(observations, board_points, setting)
+        refined, trace = refine(linear, observations, board_points, options)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"linear algebra failed: {exc}") from exc
     return CalibrationOutput(linear, refined, setting, trace)

@@ -28,13 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .calibration import RefineOptions, calibrate
+from .calibration import RefineOptions, calibrate, setting_from_observations
 from .errors import PlenocalError
-from .evaluate import intrinsic_errors, mean_intrinsic_error, pose_errors
-from .projection import DistortionParams, residuals
+from .evaluate import (intrinsic_errors, mean_intrinsic_error, pose_errors,
+                       settings_match)
+from .projection import DistortionParams, residuals, sort_observations
 from .rectification import (detect_centers, estimate_rectifying_homography,
-                            read_pgm, rectify_observations, row_slopes,
-                            write_pgm)
+                            read_pgm, rectify_centers, rectify_observations,
+                            row_slopes, write_pgm)
 from .simulator import (aligned_mla, default_envelope, default_setting,
                         generate_poses, reference_board, reference_camera,
                         physical_to_tpp, synthesize_observations,
@@ -145,31 +146,6 @@ def cmd_simulate(args) -> int:
 
 # --- calibrate -----------------------------------------------------------------
 
-def setting_from_observations(observations, sensor_px) -> TppParams:
-    """Heuristic decode setting for files without one: unit x-y scale, the
-    micro-image pitch estimated from mean pixel positions per lens, offsets
-    at the image center, and a plane separation in the same regime."""
-    sums: dict[tuple[int, int], list] = {}
-    for o in observations:
-        acc = sums.setdefault((o.lens_i, o.lens_j), [0.0, 0.0, 0])
-        acc[0] += o.px
-        acc[1] += o.py
-        acc[2] += 1
-    labels = np.array(sorted(sums), dtype=float)
-    means = np.array([(sums[tuple(lbl)][0] / sums[tuple(lbl)][2],
-                       sums[tuple(lbl)][1] / sums[tuple(lbl)][2])
-                      for lbl in labels.astype(int)])
-    A = np.column_stack([labels, np.ones(len(labels))])
-    coef_x, *_ = np.linalg.lstsq(A, means[:, 0], rcond=None)
-    coef_y, *_ = np.linalg.lstsq(A, means[:, 1], rcond=None)
-    pitch = (abs(coef_x[0]) + abs(coef_y[1])) / 2.0
-    if not np.isfinite(pitch) or pitch <= 0:
-        raise ConfigError("cannot estimate a micro-image pitch from the observations")
-    w, h = sensor_px if sensor_px and sensor_px[0] else (2.0 * means[:, 0].max(),
-                                                         2.0 * means[:, 1].max())
-    return TppParams.isotropic(1.0, pitch, w / 2.0, h / 2.0, 11.0 * pitch)
-
-
 def cmd_calibrate(args) -> int:
     out = _out_dir(args)
     try:
@@ -199,7 +175,6 @@ def cmd_calibrate(args) -> int:
         return EXIT_CALIBRATION
     res, _ = residuals(observations, board_points, output.refined.poses,
                        output.refined.tpp, output.refined.dist)
-    from .projection import sort_observations
     option_echo = {
         "optimize_distortion_centers": args.optimize_distortion_centers,
         "fix_xy_distortion": args.fix_xy_distortion,
@@ -217,32 +192,25 @@ def cmd_calibrate(args) -> int:
 
 # --- evaluate -----------------------------------------------------------------
 
-def _settings_match(a: dict, b: dict, tol: float = 1e-9) -> bool:
-    keys = {"k_xy", "k_uv", "u_0", "v_0", "f_prime"}
-    for k in keys:
-        va, vb = float(a[k]), float(b[k])
-        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
-            return False
-    return True
-
-
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     try:
         report = io.read_report(args.result)
         truth = io.read_ground_truth(args.truth)
+        same_gauge = settings_match(report["setting"], truth["setting"])
+        tpp_true = io.tpp_from_dict(truth["tpp"])
+        poses_true = [io.pose_from_dict(p) for p in truth["poses"]]
+        results = {stage: io.result_from_dict(report[stage])
+                   for stage in ("linear", "refined")}
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
-    if not _settings_match(report["setting"], truth["setting"]):
+    if not same_gauge:
         log.error("gauge mismatch: result and ground truth use different "
                   "decode settings")
         return EXIT_GAUGE
-    tpp_true = io.tpp_from_dict(truth["tpp"])
-    poses_true = [io.pose_from_dict(p) for p in truth["poses"]]
     payload = {}
-    for stage in ("linear", "refined"):
-        result = io.result_from_dict(report[stage])
+    for stage, result in results.items():
         if len(result.poses) != len(poses_true):
             log.error("gauge mismatch: %d estimated poses vs %d ground-truth poses",
                       len(result.poses), len(poses_true))
@@ -264,15 +232,13 @@ def cmd_evaluate(args) -> int:
 
 # --- rectify -----------------------------------------------------------------
 
-def _slope_range(slopes) -> float:
-    vals = [s for _, s in slopes]
-    return float(max(vals) - min(vals))
-
-
 def cmd_rectify(args) -> int:
     out = _out_dir(args)
     try:
         observations, board_points, meta = io.read_observations(args.observations)
+        pitch = args.pitch
+        if args.white_image and pitch is None:
+            pitch = setting_from_observations(observations, meta["sensor_px"]).k_u
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
@@ -280,19 +246,15 @@ def cmd_rectify(args) -> int:
         if args.centers:
             centers = io.read_centers(args.centers)
         else:
-            image = read_pgm(args.white_image)
-            pitch = args.pitch
-            if pitch is None:
-                setting = setting_from_observations(observations, meta["sensor_px"])
-                pitch = setting.k_u
-            centers = detect_centers(image, pitch)
+            centers = detect_centers(read_pgm(args.white_image), pitch)
         fit = estimate_rectifying_homography(centers)
         before = row_slopes(centers)
-        mapped = rectify_centers(centers, fit.homography)
-        after = row_slopes(mapped)
+        after = row_slopes(rectify_centers(centers, fit.homography))
     except (PlenocalError, OSError, ValueError) as exc:
         log.error("rectification failed: %s: %s", type(exc).__name__, exc)
         return EXIT_DETECTION
+    range_before, range_after = (float(np.ptp([s for _, s in slopes]))
+                                 for slopes in (before, after))
     rectified = rectify_observations(observations, fit.homography)
     board = meta["board"]
     io.write_observations(
@@ -303,7 +265,7 @@ def cmd_rectify(args) -> int:
     io.write_rectification(
         out / "rectification.json", homography=fit.homography,
         fitted_pitch=fit.fitted_pitch, rms=fit.rms,
-        slope_range_before=_slope_range(before), slope_range_after=_slope_range(after),
+        slope_range_before=range_before, slope_range_after=range_after,
         centers_detected=len(centers))
     _write_run_config(out, {
         "command": "rectify", "observations": str(args.observations),
@@ -311,17 +273,8 @@ def cmd_rectify(args) -> int:
         "centers": str(args.centers) if args.centers else None,
         "pitch": args.pitch})
     log.info("slope range %.3e -> %.3e over %d centers",
-             _slope_range(before), _slope_range(after), len(centers))
+             range_before, range_after, len(centers))
     return EXIT_OK
-
-
-def rectify_centers(centers, H):
-    """Map detected centers through the homography, keeping their labels."""
-    from .rectification import MicroImageCenter, apply_homography
-    pts = np.array([(c.x, c.y) for c in centers])
-    mapped = apply_homography(pts, H)
-    return [MicroImageCenter(c.i, c.j, float(x), float(y))
-            for c, (x, y) in zip(centers, mapped)]
 
 
 # --- entry point -----------------------------------------------------------------

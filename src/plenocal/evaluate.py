@@ -38,6 +38,16 @@ def mean_intrinsic_error(estimate: TppParams, truth: TppParams) -> float:
     return float(np.mean([errs[k] for k in INTRINSIC_KEYS]))
 
 
+def settings_match(a: dict, b: dict, tol: float = 1e-9) -> bool:
+    """Whether two decode settings, as written by ``io.tpp_to_dict``, agree
+    to a relative tolerance; results are comparable only in one gauge."""
+    for key in ("k_xy", "k_uv", "u_0", "v_0", "f_prime"):
+        va, vb = float(a[key]), float(b[key])
+        if abs(va - vb) > tol * max(1.0, abs(va), abs(vb)):
+            return False
+    return True
+
+
 def rotation_angle(Ra: np.ndarray, Rb: np.ndarray) -> float:
     """Geodesic angle between two rotations, radians."""
     cos = (np.trace(Ra @ Rb.T) - 1.0) * 0.5

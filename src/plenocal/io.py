@@ -36,13 +36,6 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
 def dump_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -113,15 +106,6 @@ def mla_to_dict(mla: MlaMisalignmentSpec) -> dict:
     return {"rotation_rvec": list(mla.rotation), "offset_mm": list(mla.offset),
             "lens_pitch_mm": mla.lens_pitch, "sensor_gap_mm": mla.sensor_gap,
             "pixel_pitch_mm": mla.pixel_pitch}
-
-
-def mla_from_dict(d: dict) -> MlaMisalignmentSpec:
-    return MlaMisalignmentSpec(
-        rotation=np.array(d["rotation_rvec"], dtype=float),
-        offset=np.array(d["offset_mm"], dtype=float),
-        lens_pitch=float(d["lens_pitch_mm"]),
-        sensor_gap=float(d["sensor_gap_mm"]),
-        pixel_pitch=float(d["pixel_pitch_mm"]))
 
 
 # --- observation files -------------------------------------------------------

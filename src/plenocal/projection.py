@@ -28,7 +28,6 @@ _UNDISTORT_TOL = 1e-12
 
 # intrinsic parameter slots used by the Jacobian column layout
 INTRINSIC_NAMES = ("k_xy", "k_uv", "u_0", "v_0", "f", "s1", "s2", "t1", "t2")
-CENTER_NAMES = ("x_c", "y_c", "u_c", "v_c")
 
 
 @dataclass(frozen=True, slots=True)
@@ -313,16 +312,6 @@ def project_pixels(batch: ProjectionBatch, tpp: TppParams, dist: DistortionParam
     J[rows_x[:, None], base[:, None] + 3 + cols3] = T_xc[:, 0, :] / k_xy
     J[rows_y[:, None], base[:, None] + 3 + cols3] = T_xc[:, 1, :] / k_xy
     return pixels, J
-
-
-def project_point(point_w, pose: Pose, tpp: TppParams, dist: DistortionParams,
-                  lens) -> np.ndarray:
-    """Project a single world point seen under one labeled micro-lens."""
-    batch = ProjectionBatch(points_w=np.asarray(point_w, dtype=float),
-                            lenses=np.asarray(lens, dtype=float),
-                            pose_index=np.zeros(1, dtype=int),
-                            rvecs=pose.rotation, tvecs=pose.translation)
-    return project_pixels(batch, tpp, dist)[0]
 
 
 def sort_observations(observations) -> list[Observation]:

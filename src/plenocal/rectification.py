@@ -5,7 +5,7 @@ ideal square grid; the per-row line slopes then vary across rows.  Detecting
 the centers on a white image and fitting the 8-dof homography that maps them
 back to a uniform grid reparameterizes the two light-field planes to parallel.
 Observations are rectified by mapping their pixel coordinates through that
-homography; the raster itself is only warped for visual inspection.
+homography; the raster itself is never resampled.
 """
 
 from __future__ import annotations
@@ -93,13 +93,6 @@ def project_centers(spec: MlaMisalignmentSpec, labels: np.ndarray) -> np.ndarray
         raise DegenerateGeometry("micro-lens center at or behind the aperture plane")
     depth = spec.offset[2] + spec.sensor_gap
     return (g[:, :2] * (depth / g[:, 2])[:, None]) / spec.pixel_pitch
-
-
-def project_center(spec: MlaMisalignmentSpec, label) -> MicroImageCenter:
-    """Single-label convenience wrapper around :func:`project_centers`."""
-    i, j = int(label[0]), int(label[1])
-    xy = project_centers(spec, np.array([[i, j]], dtype=float))[0]
-    return MicroImageCenter(i, j, float(xy[0]), float(xy[1]))
 
 
 def _blob_candidates(work: np.ndarray, pitch: float) -> np.ndarray:
@@ -351,22 +344,12 @@ def rectify_observations(observations, H: np.ndarray) -> list[Observation]:
             for o, (x, y) in zip(obs, mapped)]
 
 
-def warp_image(image: np.ndarray, H: np.ndarray,
-               output_shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Resample a raster through the homography (for visual inspection only).
-
-    Output pixel q samples the input at H^-1 q with bilinear interpolation.
-    """
-    img = np.asarray(image, dtype=float)
-    shape = img.shape if output_shape is None else output_shape
-    Hinv = np.linalg.inv(np.asarray(H, dtype=float))
-    ys, xs = np.mgrid[0:shape[0], 0:shape[1]]
-    src = apply_homography(np.column_stack([xs.ravel(), ys.ravel()]), Hinv)
-    sampled = ndimage.map_coordinates(
-        img, [src[:, 1].reshape(shape), src[:, 0].reshape(shape)],
-        order=1, mode="constant", cval=0.0)
-    return sampled.astype(image.dtype) if np.issubdtype(image.dtype, np.integer) \
-        else sampled
+def rectify_centers(centers: list[MicroImageCenter], H: np.ndarray
+                    ) -> list[MicroImageCenter]:
+    """Map detected centers through the homography, keeping their labels."""
+    mapped = apply_homography(np.array([(c.x, c.y) for c in centers]), H)
+    return [MicroImageCenter(c.i, c.j, float(x), float(y))
+            for c, (x, y) in zip(centers, mapped)]
 
 
 # --- PGM (binary P5) rasters --------------------------------------------------

@@ -453,15 +453,6 @@ def synthesize_white_image(spec: PhysicalCameraSpec,
     return np.clip(img, 0.0, 65535.0).astype(np.uint16)
 
 
-def median_multiplicity(observations) -> float:
-    """Median number of micro-lens projections per (pose, board point)."""
-    counts: dict[tuple[int, int], int] = {}
-    for o in observations:
-        key = (o.pose_id, o.point_id)
-        counts[key] = counts.get(key, 0) + 1
-    return float(np.median(list(counts.values()))) if counts else 0.0
-
-
 def reference_camera() -> PhysicalCameraSpec:
     """Reference simulated camera: 4008x2672 sensor with 9 um pixels, 50 mm
     main lens, 300 um micro-lens pitch.  The array is placed so the micro

@@ -11,7 +11,7 @@ on reconstructed points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,30 +23,6 @@ Point3 = np.ndarray
 _RANK_TOL = 1e-8          # smallest/largest singular value ratio for degeneracy
 _INFINITY_TOL = 1e-14     # homogeneous w threshold relative to |P (p,1)|
 _RATIO_TOL = 1e-9         # admissibility tolerance on k_u/k_x == k_v/k_y
-
-
-@dataclass(frozen=True, slots=True)
-class Ray4D:
-    """A ray through (x, y, 0) and (u, v, f), with plane separation f > 0."""
-
-    x: float
-    y: float
-    u: float
-    v: float
-    f: float
-
-    def __post_init__(self) -> None:
-        vals = (self.x, self.y, self.u, self.v, self.f)
-        if not all(math.isfinite(c) for c in vals):
-            raise ValueError(f"ray coordinates must be finite, got {vals}")
-        if self.f <= 0:
-            raise ValueError(f"plane separation must be positive, got {self.f}")
-
-    def point_at(self, z: float) -> Point3:
-        """Point on the ray at height z (z = 0 is the x-y plane)."""
-        t = z / self.f
-        return np.array([self.x + t * (self.u - self.x),
-                         self.y + t * (self.v - self.y), z])
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,33 +73,16 @@ class TppParams:
     def k_uv(self) -> float:
         return self.k_u
 
-    def with_f(self, f: float) -> "TppParams":
-        return replace(self, f=f)
 
+def incidence_matrix(rays: np.ndarray) -> np.ndarray:
+    """Stacked incidence rows (2N, 4) for an (N, 5) ray array.
 
-def rays_to_array(rays) -> np.ndarray:
-    """Stack Ray4D objects (or raw 5-tuples) into an (N, 5) float array."""
-    arr = np.asarray([(r.x, r.y, r.u, r.v, r.f) if isinstance(r, Ray4D) else r
-                      for r in rays], dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 5:
-        raise ValueError(f"expected N rays of 5 coordinates, got shape {arr.shape}")
-    return arr
-
-
-def incidence_rows(ray: Ray4D) -> np.ndarray:
-    """The two homogeneous incidence rows of one ray.
-
-    For any point P = (X, Y, Z) on the ray, rows @ (X, Y, Z, 1) == 0:
+    For any point P = (X, Y, Z) on the ray (x, y, u, v, f), its two rows
+    satisfy rows @ (X, Y, Z, 1) == 0:
 
         [f  0  x-u  -f x]
         [0  f  y-v  -f y]
     """
-    return np.array([[ray.f, 0.0, ray.x - ray.u, -ray.f * ray.x],
-                     [0.0, ray.f, ray.y - ray.v, -ray.f * ray.y]])
-
-
-def incidence_matrix(rays: np.ndarray) -> np.ndarray:
-    """Stacked incidence rows (2N, 4) for an (N, 5) ray array."""
     rays = np.asarray(rays, dtype=float)
     n = rays.shape[0]
     M = np.zeros((2 * n, 4))
@@ -137,8 +96,8 @@ def incidence_matrix(rays: np.ndarray) -> np.ndarray:
     return M
 
 
-def triangulate(rays) -> tuple[Point3, float]:
-    """Least-squares intersection of two or more rays.
+def triangulate(rays: np.ndarray) -> tuple[Point3, float]:
+    """Least-squares intersection of two or more rays, given as (N, 5).
 
     The homogeneous system M (P, 1) = 0 is solved as the inhomogeneous
     3-unknown system M[:, :3] P = -M[:, 3] by orthogonal factorization.
@@ -150,7 +109,9 @@ def triangulate(rays) -> tuple[Point3, float]:
     DegenerateRays
         If the rays are parallel or coincident (rank-deficient system).
     """
-    arr = rays if isinstance(rays, np.ndarray) else rays_to_array(rays)
+    arr = np.asarray(rays, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != 5:
+        raise ValueError(f"expected N rays of 5 coordinates, got shape {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError("triangulation needs at least two rays")
     f0 = arr[0, 4]
@@ -210,22 +171,13 @@ def transform_rays(rays: np.ndarray, params: TppParams) -> np.ndarray:
     return out
 
 
-def decode_virtual_ray(pixel, lens, setting: TppParams) -> Ray4D:
-    """Decode one raw-image sample (pixel under a labeled micro-lens) to a ray.
-
-    The ray passes (k_x px, k_y py, 0) and (k_u i + u_0, k_v j + v_0, f_prime).
-    """
-    px, py = pixel
-    i, j = lens
-    return Ray4D(setting.k_x * px, setting.k_y * py,
-                 setting.k_u * i + setting.u_0,
-                 setting.k_v * j + setting.v_0,
-                 setting.f_prime)
-
-
 def decode_virtual_rays(pixels: np.ndarray, lenses: np.ndarray,
                         setting: TppParams) -> np.ndarray:
-    """Vectorized decode: (N, 2) pixels and (N, 2) lens labels to (N, 5) rays."""
+    """Decode raw-image samples (pixels under labeled micro-lenses) to rays.
+
+    (N, 2) pixels and (N, 2) lens labels give (N, 5) rays; ray k passes
+    (k_x px, k_y py, 0) and (k_u i + u_0, k_v j + v_0, f_prime).
+    """
     pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
     lenses = np.atleast_2d(np.asarray(lenses, dtype=float))
     n = pixels.shape[0]

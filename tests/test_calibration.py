@@ -8,7 +8,8 @@ from plenocal.calibration import (CalibrationResult, RefineOptions, _q_entries,
                                   calibrate, estimate_homography,
                                   extrinsics_from_homography, linear_calibrate,
                                   orthonormality_defect, refine,
-                                  scene_tpp_from_transform, solve_q)
+                                  scene_tpp_from_transform,
+                                  setting_from_observations, solve_q)
 from plenocal.errors import (DegenerateBoard, IllConditioned, InsufficientData,
                              InsufficientPoses, NegativeDiscriminant)
 from plenocal.evaluate import intrinsic_errors, pose_errors
@@ -300,6 +301,23 @@ class TestRefine:
         assert sum(c for _, c in hist) == len(noisy_observations)
         edges = [e for e, _ in hist]
         np.testing.assert_allclose(np.diff(edges), 0.1)
+
+
+class TestSettingHeuristic:
+    def test_pitch_near_lens_pitch(self, camera, clean_observations,
+                                   noisy_observations):
+        k_u = sim.default_setting(camera).k_u
+        for obs in (clean_observations, noisy_observations):
+            assert setting_from_observations(obs, None).k_u == pytest.approx(k_u, rel=0.01)
+
+    def test_offsets_at_sensor_center(self, camera, clean_observations):
+        w, h = camera.sensor_resolution
+        setting = setting_from_observations(clean_observations, (w, h))
+        assert (setting.u_0, setting.v_0) == (w / 2, h / 2)
+
+    def test_no_observations_rejected(self):
+        with pytest.raises(ValueError, match="micro-image pitch"):
+            setting_from_observations([], None)
 
 
 class TestStability:

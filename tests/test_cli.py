@@ -110,6 +110,17 @@ class TestCalibrate:
         assert run("calibrate", simout / "observations.json",
                    "--out", tmp_path / "cal2") == 4
 
+    def test_overflowing_pixel_exit_4(self, sim_dir, tmp_path):
+        # finite but huge: ingest accepts it, the ray normalization overflows
+        def huge_pixel(payload):
+            payload["poses"][0]["observations"][0]["pixel"][0] = 1e300
+        obs = tampered_observations(sim_dir, tmp_path, huge_pixel)
+        setting_path = tmp_path / "setting.json"
+        setting_path.write_text(json.dumps(
+            io.read_ground_truth(sim_dir / "ground_truth.json")["setting"]))
+        assert run("calibrate", obs, "--out", tmp_path / "cal",
+                   "--setting", setting_path) == 4
+
     def test_noisy_rms_band(self, tmp_path):
         cfg = small_config(tmp_path, sigma=0.3, poses=8)
         simout = tmp_path / "sims"
@@ -131,6 +142,15 @@ def tampered_observations(sim_dir, tmp_path, edit):
 
 def nan_pixel(payload):
     payload["poses"][0]["observations"][0]["pixel"][0] = float("nan")
+
+
+def no_poses(payload):
+    payload["poses"] = []
+
+
+def single_lens(payload):
+    payload["poses"] = [{"id": 0, "observations": [
+        {"point_id": k, "lens": [0, 0], "pixel": [0.0, 0.0]} for k in range(6)]}]
 
 
 class TestIngestValidation:
@@ -157,6 +177,18 @@ class TestIngestValidation:
         assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
                    "--out", tmp_path / "rect") == 2
         assert "repeated (pose, point, lens)" in caplog.text
+
+    @pytest.mark.parametrize("edit, command", [
+        (no_poses, "calibrate"), (no_poses, "rectify"), (single_lens, "rectify")],
+        ids=["no-poses-calibrate", "no-poses-rectify", "single-lens-rectify"])
+    def test_pitch_heuristic_unusable_exit_2(self, sim_dir, tmp_path, caplog,
+                                             edit, command):
+        obs = tampered_observations(sim_dir, tmp_path, edit)
+        white = tmp_path / "white.pgm"
+        write_pgm(white, np.full((600, 800), 500, dtype=np.uint16))
+        source = ["--white-image", white] if command == "rectify" else []
+        assert run(command, obs, *source, "--out", tmp_path / "out") == 2
+        assert "cannot estimate a micro-image pitch" in caplog.text
 
 
 class TestEvaluate:
@@ -185,6 +217,15 @@ class TestEvaluate:
         io.dump_json(tampered, truth)
         assert run("evaluate", cal / "report.json", tampered,
                    "--out", tmp_path / "eval") == 5
+
+    @pytest.mark.parametrize("missing", ["setting", "results"])
+    def test_malformed_report_exit_2(self, sim_dir, tmp_path, missing):
+        truth = io.read_ground_truth(sim_dir / "ground_truth.json")
+        setting = {} if missing == "setting" else truth["setting"]
+        report = tmp_path / "report.json"
+        io.dump_json(report, {"schema": io.REPORT_SCHEMA, "setting": setting})
+        assert run("evaluate", report, sim_dir / "ground_truth.json",
+                   "--out", tmp_path / "eval") == 2
 
 
 class TestRectify:

@@ -1,14 +1,16 @@
 """Distortion, forward projection, residuals, and the analytic Jacobian."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plenocal.errors import BehindPlane, MissingReference, NonInvertible
 from plenocal.projection import (DistortionParams, Observation, Pose,
                                  ProjectionBatch, apply_distortion,
-                                 observation_batch, project_pixels, project_point,
-                                 residuals, sort_observations, undistort)
-from plenocal.tpp import TppParams, decode_virtual_ray, incidence_rows
+                                 observation_batch, project_pixels, residuals,
+                                 sort_observations, undistort)
+from plenocal.tpp import TppParams, decode_virtual_rays, incidence_matrix
 
 
 class TestDistortion:
@@ -71,13 +73,20 @@ def simple_camera():
     return tpp, DistortionParams()
 
 
+def project_one(point_w, pose, tpp, dist, lens):
+    """Pixel of one world point under one labeled micro-lens."""
+    batch = ProjectionBatch(points_w=point_w, lenses=lens, pose_index=[0],
+                            rvecs=pose.rotation, tvecs=pose.translation)
+    return project_pixels(batch, tpp, dist)[0]
+
+
 class TestProjectPoint:
     def test_similar_triangles(self, simple_camera):
         tpp, dist = simple_camera
         pose = Pose(np.zeros(3), np.zeros(3))
         # lens u-v point at (30 d_lens, 0) and a point at twice the separation
         point = np.array([0.0, 0.0, 2.0 * tpp.f])
-        pixel = project_point(point, pose, tpp, dist, (2, 0))
+        pixel = project_one(point, pose, tpp, dist, (2, 0))
         np.testing.assert_allclose(pixel, (2 * 30.0 * 2, 0.0))
 
     def test_decoded_ray_passes_point(self, simple_camera):
@@ -88,10 +97,10 @@ class TestProjectPoint:
                         [rng.normal() * 50, rng.normal() * 50, rng.uniform(3e3, 2e4)])
             point_w = np.array([rng.normal() * 100, rng.normal() * 100, 0.0])
             lens = rng.integers(-20, 20, 2)
-            pixel = project_point(point_w, pose, tpp, dist, lens)
-            ray = decode_virtual_ray(pixel, lens, tpp)
+            pixel = project_one(point_w, pose, tpp, dist, lens)
+            rays = decode_virtual_rays(pixel, lens, tpp)
             point_c = pose.apply(point_w)[0]
-            rows = incidence_rows(ray)
+            rows = incidence_matrix(rays)
             val = np.abs(rows @ np.append(point_c, 1.0)).max()
             assert val < 1e-10 * np.abs(rows).max() * max(1, np.abs(point_c).max())
 
@@ -99,15 +108,15 @@ class TestProjectPoint:
         tpp, dist = simple_camera
         pose = Pose(np.zeros(3), np.zeros(3))
         with pytest.raises(BehindPlane):
-            project_point(np.array([0.0, 0.0, tpp.f]), pose, tpp, dist, (0, 0))
+            project_one(np.array([0.0, 0.0, tpp.f]), pose, tpp, dist, (0, 0))
 
     def test_simulator_round_trip(self, camera, board_points, poses12,
                                   clean_observations, tpp_truth):
         # noise-free stored pixels match a fresh forward projection exactly
         for o in clean_observations[::97]:
             point = np.append(board_points[o.point_id], 0.0)
-            pixel = project_point(point, poses12[o.pose_id], tpp_truth,
-                                  DistortionParams(), (o.lens_i, o.lens_j))
+            pixel = project_one(point, poses12[o.pose_id], tpp_truth,
+                                DistortionParams(), (o.lens_i, o.lens_j))
             np.testing.assert_allclose(pixel, (o.px, o.py), atol=1e-9)
 
 
@@ -129,7 +138,7 @@ class TestResiduals:
                                  tpp_truth):
         _, rms0 = residuals(noisy_observations, board_points, poses12,
                             tpp_truth, DistortionParams())
-        bumped = tpp_truth.with_f(tpp_truth.f * 1.01)
+        bumped = replace(tpp_truth, f=tpp_truth.f * 1.01)
         _, rms1 = residuals(noisy_observations, board_points, poses12,
                             bumped, DistortionParams())
         assert rms1 > rms0

@@ -10,9 +10,8 @@ from plenocal.projection import Observation
 from plenocal.rectification import (MicroImageCenter, MlaMisalignmentSpec,
                                     apply_homography, detect_centers,
                                     estimate_rectifying_homography,
-                                    project_center, project_centers, read_pgm,
-                                    rectify_observations, row_slopes, warp_image,
-                                    write_pgm)
+                                    project_centers, read_pgm,
+                                    rectify_observations, row_slopes, write_pgm)
 
 
 def make_mla(rotation=(0.0, 0.0, 0.0), offset=(0.0, 0.0, 65.0)):
@@ -43,9 +42,9 @@ class TestProjectCenter:
 
     def test_reference_lens_any_rotation(self):
         mla = make_mla(rotation=(0.02, -0.015, 0.4), offset=(1.5, -2.5, 65.0))
-        c = project_center(mla, (0, 0))
+        c = project_centers(mla, np.array([[0, 0]]))[0]
         mag = (mla.offset[2] + mla.sensor_gap) / mla.offset[2]
-        np.testing.assert_allclose((c.x, c.y),
+        np.testing.assert_allclose(c,
                                    (mag * 1.5 / 0.009, mag * -2.5 / 0.009))
 
     def test_y_rotation_slopes_descend_linearly(self):
@@ -286,11 +285,3 @@ def test_end_to_end_misalignment_recovery(camera, board, board_points, setting,
     for name in ("k_x", "k_u", "u_0", "v_0", "f"):
         a, b = getattr(ref_c.tpp, name), getattr(ref_r.tpp, name)
         assert abs(a - b) < 0.01 * abs(a)
-
-
-def test_warp_image_translation():
-    img = np.zeros((40, 40))
-    img[18:22, 14:18] = 100.0
-    H = np.array([[1.0, 0, 5.0], [0, 1.0, -3.0], [0, 0, 1.0]])
-    out = warp_image(img, H)
-    np.testing.assert_allclose(out[15:19, 19:23], img[18:22, 14:18])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from plenocal.errors import DegenerateRays, PointAtInfinity
-from plenocal.tpp import (Ray4D, TppParams, decode_virtual_ray, decode_virtual_rays,
-                          incidence_matrix, incidence_rows, projective_matrix,
-                          rays_to_array, transform_point, transform_rays, triangulate)
+from plenocal.tpp import (TppParams, decode_virtual_rays, incidence_matrix,
+                          projective_matrix, transform_point, transform_rays,
+                          triangulate)
 
 
 def bundle_through(point, f, n, rng, spread=5.0):
@@ -23,43 +23,36 @@ def bundle_through(point, f, n, rng, spread=5.0):
 
 class TestIncidence:
     def test_axis_ray(self):
-        rows = incidence_rows(Ray4D(0, 0, 0, 0, 10))
+        rows = incidence_matrix(np.array([[0, 0, 0, 0, 10]]))
         np.testing.assert_array_equal(rows, [[10, 0, 0, 0], [0, 10, 0, 0]])
         assert rows @ np.array([0, 0, 5, 1]) == pytest.approx([0, 0])
 
     def test_direct_substitution(self):
-        rows = incidence_rows(Ray4D(1, 0, 0, 0, 10))
+        rows = incidence_matrix(np.array([[1, 0, 0, 0, 10]]))
         # row1 . (0, 0, 10, 1) = 10*0 + 1*10 - 10*1 = 0
         assert rows[0] @ np.array([0, 0, 10, 1]) == 0.0
 
     def test_points_sampled_on_line(self):
+        # rows 2k, 2k+1 of the stacked matrix belong to ray k
         rng = np.random.default_rng(11)
-        for _ in range(20):
-            ray = Ray4D(*rng.normal(size=4) * 3, rng.uniform(1, 20))
-            rows = incidence_rows(ray)
+        rays = np.column_stack([rng.normal(size=(20, 4)) * 3, rng.uniform(1, 20, 20)])
+        M = incidence_matrix(rays)
+        for k, (x, y, u, v, f) in enumerate(rays):
+            rows = M[2 * k:2 * k + 2]
             scale = np.abs(rows).max()
             for t in np.linspace(-3, 3, 20):
-                p = ray.point_at(t * ray.f)
-                assert np.abs(rows @ np.append(p, 1.0)).max() < 1e-12 * scale
-
-    def test_incidence_matrix_matches_rows(self):
-        rng = np.random.default_rng(2)
-        arr = rng.normal(size=(6, 5))
-        arr[:, 4] = np.abs(arr[:, 4]) + 1
-        M = incidence_matrix(arr)
-        for k, row in enumerate(arr):
-            np.testing.assert_allclose(M[2 * k:2 * k + 2],
-                                       incidence_rows(Ray4D(*row)))
+                p = np.array([x + t * (u - x), y + t * (v - y), t * f, 1.0])
+                assert np.abs(rows @ p).max() < 1e-12 * scale
 
 
 class TestTriangulate:
     def test_symmetric_pair(self):
-        point, res = triangulate([Ray4D(1, 1, 0, 0, 10), Ray4D(-1, -1, 0, 0, 10)])
+        point, res = triangulate(np.array([[1, 1, 0, 0, 10], [-1, -1, 0, 0, 10]]))
         np.testing.assert_allclose(point, [0, 0, 10], atol=1e-12)
         assert res < 1e-12
 
     def test_shared_point(self):
-        point, _ = triangulate([Ray4D(0, 0, 1, 0, 5), Ray4D(2, 0, 1, 0, 5)])
+        point, _ = triangulate(np.array([[0, 0, 1, 0, 5], [2, 0, 1, 0, 5]]))
         np.testing.assert_allclose(point, [1, 0, 5], atol=1e-12)
 
     def test_exactness_random_bundles(self):
@@ -108,17 +101,17 @@ class TestTriangulate:
         assert np.linalg.norm(point - best) < 1e-3
 
     def test_parallel_rays_degenerate(self):
-        rays = [Ray4D(x, 0.0, x + 1.0, 0.0, 10.0) for x in (0.0, 1.0, 2.0)]
+        rays = np.array([[x, 0.0, x + 1.0, 0.0, 10.0] for x in (0.0, 1.0, 2.0)])
         with pytest.raises(DegenerateRays):
             triangulate(rays)
 
     def test_coincident_rays_degenerate(self):
         with pytest.raises(DegenerateRays):
-            triangulate([Ray4D(1, 2, 3, 4, 10)] * 3)
+            triangulate(np.array([[1, 2, 3, 4, 10]] * 3))
 
     def test_mismatched_separation_rejected(self):
         with pytest.raises(ValueError):
-            triangulate([Ray4D(0, 0, 1, 0, 5), Ray4D(1, 0, 1, 0, 6)])
+            triangulate(np.array([[0, 0, 1, 0, 5], [1, 0, 1, 0, 6]]))
 
     def test_duplicating_rays_keeps_point(self):
         rng = np.random.default_rng(5)
@@ -198,27 +191,11 @@ class TestTransformPoint:
 
 class TestDecode:
     def test_trivial_setting(self):
-        ray = decode_virtual_ray((0, 0), (0, 0), TppParams(1, 1, 1, 1, 0, 0, 1, 1))
-        assert (ray.x, ray.y, ray.u, ray.v, ray.f) == (0, 0, 0, 0, 1)
+        rays = decode_virtual_rays([(0, 0)], [(0, 0)], TppParams(1, 1, 1, 1, 0, 0, 1, 1))
+        np.testing.assert_array_equal(rays, [[0, 0, 0, 0, 1]])
 
     def test_direct_formula(self):
         setting = TppParams(2, 2, 100, 100, 5, -5, 1000, 1000)
-        ray = decode_virtual_ray((10, -4), (2, 3), setting)
-        assert (ray.x, ray.y, ray.u, ray.v, ray.f) == (20, -8, 205, 295, 1000)
-
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(4)
-        setting = TppParams(1.5, 1.5, 40.0, 40.0, 3.0, -7.0, 300.0, 300.0)
-        pixels = rng.normal(size=(10, 2)) * 100
-        lenses = rng.integers(-20, 20, size=(10, 2))
-        arr = decode_virtual_rays(pixels, lenses, setting)
-        for k in range(10):
-            one = decode_virtual_ray(pixels[k], lenses[k], setting)
-            np.testing.assert_allclose(arr[k], rays_to_array([one])[0])
-
-
-def test_ray_requires_positive_separation():
-    with pytest.raises(ValueError):
-        Ray4D(0, 0, 0, 0, -1.0)
-    with pytest.raises(ValueError):
-        Ray4D(np.nan, 0, 0, 0, 1.0)
+        rays = decode_virtual_rays([(10, -4), (0, 1)], [(2, 3), (-1, 0)], setting)
+        np.testing.assert_array_equal(rays, [[20, -8, 205, 295, 1000],
+                                             [0, 2, -95, -5, 1000]])

@@ -9,7 +9,11 @@ camera parameters.
 
 Refinement: damped least squares on the re-projection error over intrinsics,
 two-plane distortion and all poses, with the analytic Jacobian from the
-projection module, linearized once per accepted step.
+projection module, linearized once per accepted step.  Each observation
+touches the intrinsics and its own pose only, so every step eliminates the
+pose blocks and solves a system of intrinsic size (the Schur complement of
+Triggs, McLauchlan, Hartley & Fitzgibbon, "Bundle Adjustment -- A Modern
+Synthesis", 2000); memory stays linear in the observations.
 """
 
 from __future__ import annotations
@@ -38,6 +42,8 @@ _LM_DAMPING_INIT = 1e-3          # times trace of the scaled approximate Hessian
 _LM_UP, _LM_DOWN = 10.0, 0.1
 _LM_MAX_REJECTED = 20
 _GRAD_TOL = 1e-10                # relative to the initial gradient inf-norm
+_COST_TOL = 1e-12                # an accepted step lowering the cost by less
+                                 # than this fraction ends the refinement
 _STEP_TOL = 1e-12
 
 
@@ -452,6 +458,66 @@ def _parameter_scales(theta0: np.ndarray, tpp: TppParams, lenses: np.ndarray,
     return scales
 
 
+@dataclass(frozen=True)
+class _NormalEquations:
+    """Gauss-Newton matrix A = J^T J and gradient g = J^T r in block form.
+
+    With m intrinsic columns and P poses: ``U`` (m, m) is the intrinsic
+    block, ``V`` (P, 6, 6) the pose blocks (A's pose-pose part is block
+    diagonal), ``W`` (P, m, 6) the intrinsic-pose couplings, and ``g_i``
+    (m,), ``g_p`` (P, 6) the gradient split the same way.
+    """
+
+    U: np.ndarray
+    W: np.ndarray
+    V: np.ndarray
+    g_i: np.ndarray
+    g_p: np.ndarray
+
+    @classmethod
+    def from_blocks(cls, J_intr: np.ndarray, J_pose: np.ndarray, r: np.ndarray,
+                    starts: np.ndarray) -> "_NormalEquations":
+        """Accumulate from the (N, 2, m) and (N, 2, 6) Jacobian blocks and
+        the flattened residuals; observations starts[p]:starts[p + 1] are
+        those of pose p."""
+        m = J_intr.shape[-1]
+        Ji = J_intr.reshape(-1, m)
+        Jp = J_pose.reshape(-1, 6)
+        n_poses = len(starts) - 1
+        W = np.empty((n_poses, m, 6))
+        V = np.empty((n_poses, 6, 6))
+        g_p = np.empty((n_poses, 6))
+        for p in range(n_poses):
+            rows = slice(2 * starts[p], 2 * starts[p + 1])
+            W[p] = Ji[rows].T @ Jp[rows]
+            V[p] = Jp[rows].T @ Jp[rows]
+            g_p[p] = Jp[rows].T @ r[rows]
+        return cls(Ji.T @ Ji, W, V, Ji.T @ r, g_p)
+
+    def trace(self) -> float:
+        return float(np.trace(self.U) + np.trace(self.V, axis1=1, axis2=2).sum())
+
+    def grad_inf(self) -> float:
+        return float(max(np.abs(self.g_i).max(), np.abs(self.g_p).max()))
+
+    def step(self, damping: float) -> tuple[np.ndarray, np.ndarray]:
+        """Solve (A + damping I) delta = -g for the intrinsic step (m,) and
+        the pose steps (P, 6) by eliminating the pose blocks: the reduced
+        m x m system is S = U' - sum_p W_p V_p'^-1 W_p^T, primes marking the
+        damped blocks, and each pose step follows by back-substitution."""
+        m = self.U.shape[0]
+        rhs = np.concatenate([self.W.transpose(0, 2, 1), self.g_p[:, :, None]], axis=2)
+        X = np.linalg.solve(self.V + damping * np.eye(6), rhs)   # V_p'^-1 [W_p^T | g_p]
+        S = self.U + damping * np.eye(m) - np.einsum("pik,pkj->ij", self.W, X[:, :, :m])
+        b = np.einsum("pik,pk->i", self.W, X[:, :, m]) - self.g_i
+        try:
+            d_i = np.linalg.solve(S, b)
+        except np.linalg.LinAlgError:
+            d_i = np.linalg.lstsq(S, b, rcond=None)[0]
+        d_p = -X[:, :, m] - X[:, :, :m] @ d_i
+        return d_i, d_p
+
+
 def refine(initial: CalibrationResult, observations, board_points,
            options: RefineOptions | None = None
            ) -> tuple[CalibrationResult, list[dict]]:
@@ -460,7 +526,11 @@ def refine(initial: CalibrationResult, observations, board_points,
     Optimizes (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2) plus every pose, and
     optionally the two distortion centers; the decode-plane separation stays
     a fixed convention.  Accepted steps never increase the cost; the damping
-    is scaled up by 10 on rejection and down by 10 on acceptance.
+    is scaled up by 10 on rejection and down by 10 on acceptance.  Each step
+    is solved on the reduced intrinsic system (see ``_NormalEquations``).
+    The refinement stops once the gradient has shrunk by ``_GRAD_TOL``, the
+    step vanishes, or an accepted step lowers the cost by less than
+    ``_COST_TOL`` of it: the cost then sits at its numerical floor.
 
     Returns the refined result and the per-iteration trace.
     """
@@ -475,7 +545,10 @@ def refine(initial: CalibrationResult, observations, board_points,
     batch, observed, pose_ids, _ = observation_batch(observations, board_points,
                                                      pose_map)
     n_poses = len(pose_ids)
+    # observation_batch sorts rows by pose, so each pose owns one slice
+    starts = np.searchsorted(batch.pose_index, np.arange(n_poses + 1))
     centers = options.optimize_distortion_centers
+    n_intr = 13 if centers else 9
     fixed_centers = _default_centers(initial.tpp, observed, options)
     dist0 = replace(initial.dist, x_c=fixed_centers[0], y_c=fixed_centers[1],
                     u_c=fixed_centers[2], v_c=fixed_centers[3])
@@ -484,10 +557,15 @@ def refine(initial: CalibrationResult, observations, board_points,
     theta = _pack(initial.tpp, dist0, initial.poses, centers)
     scales = _parameter_scales(theta, initial.tpp, batch.lenses, observed,
                                fixed_centers, n_poses, centers)
+    active = np.ones(theta.size, dtype=bool)
+    if not options.optimize_xy_distortion:
+        active[5:7] = False              # freeze s1, s2 at their initial values
+    intr_scales = -scales[:n_intr][active[:n_intr]]
+    pose_scales = -scales[n_intr:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
 
     def evaluate(th: np.ndarray, with_jacobian: bool):
-        """Residuals (flattened) and optionally the prediction Jacobian;
-        None when the candidate parameters are not evaluable (rejected)."""
+        """Residuals (flattened) and optionally the prediction Jacobian
+        blocks; None when the candidate parameters are not evaluable."""
         try:
             tpp, dist, poses = _unpack(th, n_poses, centers, fixed_centers, f_prime)
             posed = replace(batch, rvecs=np.stack([p.rotation for p in poses]),
@@ -496,45 +574,41 @@ def refine(initial: CalibrationResult, observations, board_points,
                                  jacobian=with_jacobian, optimize_centers=centers)
         except (ValueError, BehindPlane):
             return None
-        pred, J = out if with_jacobian else (out, None)
+        pred, *blocks = out if with_jacobian else (out,)
         r = (observed - pred).reshape(-1)
         if not np.all(np.isfinite(r)):
             raise NonFiniteResidual("residual evaluation produced NaN/Inf")
-        return r, J
-
-    active = np.ones(theta.size, dtype=bool)
-    if not options.optimize_xy_distortion:
-        active[5:7] = False              # freeze s1, s2 at their initial values
+        return r, blocks
 
     def linearize(th: np.ndarray):
-        """Residuals r, gradient g and Gauss-Newton matrix A over the active
-        parameters in scaled space; no 2N x cols array outlives the call."""
+        """Residuals r and the block normal equations over the active
+        parameters in scaled space."""
         ev = evaluate(th, True)
         if ev is None:
             raise NonFiniteResidual("parameters are not evaluable")
-        r, J = ev
-        if not np.all(np.isfinite(J)):
+        r, (J_intr, J_pose) = ev
+        if not (np.all(np.isfinite(J_intr)) and np.all(np.isfinite(J_pose))):
             raise NonFiniteResidual("Jacobian evaluation produced NaN/Inf")
-        J *= -scales                     # residual Jacobian, scaled space
         if not active.all():
-            J = J[:, active]
-        return r, J.T @ r, J.T @ J
+            J_intr = J_intr[:, :, active[:n_intr]]
+        # residual Jacobian in scaled space
+        J_intr *= intr_scales
+        J_pose *= pose_scales
+        return r, _NormalEquations.from_blocks(J_intr, J_pose, r, starts)
 
-    r, g, A = linearize(theta)
+    r, eq = linearize(theta)
     cost = float(r @ r)
-    g0_inf = float(np.abs(g).max())
-    damping = _LM_DAMPING_INIT * float(np.trace(A))
+    g0_inf = eq.grad_inf()
+    damping = _LM_DAMPING_INIT * eq.trace()
 
     trace: list[dict] = []
     rejected_run = 0
-    n = int(active.sum())
     for iteration in range(options.max_iterations):
-        if g0_inf > 0 and float(np.abs(g).max()) < _GRAD_TOL * g0_inf:
+        grad_inf = eq.grad_inf()
+        if g0_inf > 0 and grad_inf < _GRAD_TOL * g0_inf:
             break
-        try:
-            step = np.linalg.solve(A + damping * np.eye(n), -g)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(A + damping * np.eye(n), -g, rcond=None)[0]
+        d_i, d_p = eq.step(damping)
+        step = np.concatenate([d_i, d_p.reshape(-1)])
         step_norm = float(np.linalg.norm(step))
         if step_norm < _STEP_TOL:
             break
@@ -546,10 +620,14 @@ def refine(initial: CalibrationResult, observations, board_points,
         accepted = new_cost < cost
         trace.append({"iteration": iteration, "cost": cost, "candidate_cost": new_cost,
                       "damping": damping, "accepted": accepted,
-                      "grad_inf": float(np.abs(g).max())})
+                      "grad_inf": grad_inf})
         if accepted:
+            at_floor = cost - new_cost < _COST_TOL * cost
             theta, cost = candidate, new_cost
-            r, g, A = linearize(theta)
+            if at_floor:
+                r = ev[0]
+                break
+            r, eq = linearize(theta)
             damping *= _LM_DOWN
             rejected_run = 0
         else:

@@ -56,6 +56,13 @@ class ConfigError(Exception):
     pass
 
 
+# what reading a configuration or an input file raises on malformed content,
+# including a JSON value of the wrong type (null where a number belongs, a key
+# a record type does not take); each is a configuration error, exit 2
+_CONFIG_ERRORS = (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError,
+                  ValueError)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,19 +109,19 @@ def _load_simulate_config(args) -> dict:
 def cmd_simulate(args) -> int:
     try:
         cfg = _load_simulate_config(args)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        camera = io.camera_from_dict(cfg["camera"])
+        board = io.board_from_dict(cfg["board"])
+        dist = (DistortionParams(**cfg["distortion"]) if cfg["distortion"]
+                else DistortionParams())
+        envelope = default_envelope(camera, board,
+                                    tuple(cfg["scene_range_mm"]),
+                                    max_rotation_deg=cfg["max_rotation_deg"])
+    except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     out = _out_dir(args)
     try:
-        camera = io.camera_from_dict(cfg["camera"])
-        board = io.board_from_dict(cfg["board"])
-        envelope = default_envelope(camera, board,
-                                    tuple(cfg["scene_range_mm"]),
-                                    max_rotation_deg=cfg["max_rotation_deg"])
         poses = generate_poses(cfg["poses"], cfg["seed"], envelope)
-        dist = (DistortionParams(**cfg["distortion"]) if cfg["distortion"]
-                else DistortionParams())
         mla = None
         if cfg["misalignment_deg"] is not None:
             rvec = np.radians(np.asarray(cfg["misalignment_deg"], dtype=float))
@@ -160,7 +167,7 @@ def cmd_calibrate(args) -> int:
             setting = TppParams.isotropic(setting.k_x, setting.k_u, setting.u_0,
                                           setting.v_0, args.fixed_fprime,
                                           f_prime=args.fixed_fprime)
-    except (ConfigError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     options = RefineOptions(
@@ -202,7 +209,7 @@ def cmd_evaluate(args) -> int:
         poses_true = [io.pose_from_dict(p) for p in truth["poses"]]
         results = {stage: io.result_from_dict(report[stage])
                    for stage in ("linear", "refined")}
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     if not same_gauge:
@@ -239,7 +246,7 @@ def cmd_rectify(args) -> int:
         pitch = args.pitch
         if args.white_image and pitch is None:
             pitch = setting_from_observations(observations, meta["sensor_px"]).k_u
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     try:

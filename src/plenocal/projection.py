@@ -7,8 +7,9 @@ intersection, after its own radial distortion, divides by the x-y plane scale
 to give raw-image pixel coordinates.
 
 ``project_pixels`` evaluates the whole chain for a batch of observations and
-can return the analytic Jacobian with respect to every model parameter; the
-refinement stage depends on that Jacobian matching finite differences.
+can return the analytic Jacobian with respect to every model parameter, as an
+intrinsic block and a per-observation pose block; the refinement stage
+depends on that Jacobian matching finite differences.
 """
 
 from __future__ import annotations
@@ -189,31 +190,44 @@ class ProjectionBatch:
         self.tvecs = np.atleast_2d(np.asarray(self.tvecs, dtype=float))
 
 
+def _rigid_motion(batch: ProjectionBatch, jacobian: bool):
+    """Board points moved into the camera frame, and with ``jacobian`` their
+    (N, 3, 3) derivative wrt the rvec of each observation's pose.
+
+    Rotations are formed once per pose and gathered by ``pose_index``.  Since
+    d(R p)/d rvec is linear in p, it is sum_b p_b G(e_b), with G evaluated
+    once per pose at the three basis vectors.
+    """
+    idx = batch.pose_index
+    R = np.stack([rodrigues_matrix(r) for r in batch.rvecs])
+    Xc = np.einsum("nab,nb->na", R[idx], batch.points_w) + batch.tvecs[idx]
+    if not jacobian:
+        return Xc, None
+    G = np.stack([rotate_points_jacobian(r, np.eye(3)) for r in batch.rvecs])
+    return Xc, np.einsum("nb,nbac->nac", batch.points_w, G[idx])
+
+
 def project_pixels(batch: ProjectionBatch, tpp: TppParams, dist: DistortionParams,
                    *, jacobian: bool = False, optimize_centers: bool = False):
     """Project a batch of board points to raw-image pixels.
 
-    Returns ``pixels`` of shape (N, 2), or ``(pixels, J)`` when ``jacobian``
-    is set.  Jacobian rows alternate pixel-x / pixel-y per observation and the
-    columns are the 9 intrinsics (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2),
-    then optionally the 4 distortion centers, then 6 (rvec, tvec) per pose.
+    Returns ``pixels`` of shape (N, 2), or ``(pixels, J_intr, J_pose)`` when
+    ``jacobian`` is set.  The Jacobian comes in block form, never as one
+    dense 2N x (9 [+4] + 6P) array:
+
+    * ``J_intr`` (N, 2, 9) or (N, 2, 13): ``J_intr[n, a, c]`` is the
+      derivative of pixel coordinate a (x, y) of observation n wrt intrinsic
+      c in the order (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2), then, with
+      ``optimize_centers``, (x_c, y_c, u_c, v_c);
+    * ``J_pose`` (N, 2, 6): ``J_pose[n, a]`` is the derivative wrt
+      (rvec, tvec) of pose ``batch.pose_index[n]``; every other pose's
+      derivative is zero.
     """
     n = batch.points_w.shape[0]
-    n_poses = batch.rvecs.shape[0]
     k_xy, k_uv = tpp.k_x, tpp.k_u
     f = tpp.f
 
-    # rigid motion, grouped by pose so Rodrigues terms are computed once each
-    Xc = np.empty((n, 3))
-    rot_jac = np.empty((n, 3, 3)) if jacobian else None
-    for p in range(n_poses):
-        sel = batch.pose_index == p
-        if not np.any(sel):
-            continue
-        R = rodrigues_matrix(batch.rvecs[p])
-        Xc[sel] = batch.points_w[sel] @ R.T + batch.tvecs[p]
-        if jacobian:
-            rot_jac[sel] = rotate_points_jacobian(batch.rvecs[p], batch.points_w[sel])
+    Xc, rot_jac = _rigid_motion(batch, jacobian)
 
     uv_hat = np.empty((n, 2))
     uv_hat[:, 0] = k_uv * batch.lenses[:, 0] + tpp.u_0
@@ -258,60 +272,33 @@ def project_pixels(batch: ProjectionBatch, tpp: TppParams, dist: DistortionParam
     T_uv = E_duv @ C                                  # d xy_d / d uv_hat
     T_xc = E @ Dxc                                    # d xy_d / d Xc
 
-    n_centers = 4 if optimize_centers else 0
-    n_intr = len(INTRINSIC_NAMES) + n_centers
-    n_cols = n_intr + 6 * n_poses
-    J = np.zeros((2 * n, n_cols))
-    rows_x = np.arange(n) * 2
-    rows_y = rows_x + 1
-
-    def put(col: int, dx: np.ndarray, dy: np.ndarray) -> None:
-        J[rows_x, col] = dx / k_xy
-        J[rows_y, col] = dy / k_xy
-
+    n_intr = len(INTRINSIC_NAMES) + (4 if optimize_centers else 0)
+    J_intr = np.empty((n, 2, n_intr))
     # k_xy enters only through the final pixel division
-    J[rows_x, 0] = -xy_d[:, 0] / k_xy**2
-    J[rows_y, 0] = -xy_d[:, 1] / k_xy**2
-
+    J_intr[:, :, 0] = -pixels
     # k_uv, u_0, v_0 act through uv_hat = (k_uv i + u_0, k_uv j + v_0)
-    duv_dkuv = np.stack([batch.lenses[:, 0], batch.lenses[:, 1]], axis=1)
-    put(1, np.einsum("nj,nj->n", T_uv[:, 0, :], duv_dkuv),
-        np.einsum("nj,nj->n", T_uv[:, 1, :], duv_dkuv))
-    put(2, T_uv[:, 0, 0], T_uv[:, 1, 0])
-    put(3, T_uv[:, 0, 1], T_uv[:, 1, 1])
-
+    J_intr[:, :, 1] = np.einsum("nij,nj->ni", T_uv, batch.lenses)
+    J_intr[:, :, 2:4] = T_uv
     # f: direct effect on the plane intersection
-    df_d = np.einsum("nij,nj->ni", E, df_hat)
-    put(4, df_d[:, 0], df_d[:, 1])
-
+    J_intr[:, :, 4] = np.einsum("nij,nj->ni", E, df_hat)
     # x-y distortion coefficients
-    put(5, d_xy[:, 0] * r2_xy, d_xy[:, 1] * r2_xy)
-    put(6, d_xy[:, 0] * r2_xy**2, d_xy[:, 1] * r2_xy**2)
-
+    J_intr[:, :, 5] = d_xy * r2_xy[:, None]
+    J_intr[:, :, 6] = d_xy * (r2_xy**2)[:, None]
     # u-v distortion coefficients propagate through the intersection
-    dt1 = np.einsum("nij,nj->ni", E_duv, d_uv * r2_uv[:, None])
-    dt2 = np.einsum("nij,nj->ni", E_duv, d_uv * (r2_uv**2)[:, None])
-    put(7, dt1[:, 0], dt1[:, 1])
-    put(8, dt2[:, 0], dt2[:, 1])
-
+    J_intr[:, :, 7] = np.einsum("nij,nj->ni", E_duv, d_uv * r2_uv[:, None])
+    J_intr[:, :, 8] = np.einsum("nij,nj->ni", E_duv, d_uv * (r2_uv**2)[:, None])
     if optimize_centers:
         eye2 = np.eye(2)[None, :, :]
-        dxy_c = eye2 - E                               # d xy_d / d (x_c, y_c)
-        duv_c = E_duv @ (eye2 - C)                     # d xy_d / d (u_c, v_c)
-        put(9, dxy_c[:, 0, 0], dxy_c[:, 1, 0])
-        put(10, dxy_c[:, 0, 1], dxy_c[:, 1, 1])
-        put(11, duv_c[:, 0, 0], duv_c[:, 1, 0])
-        put(12, duv_c[:, 0, 1], duv_c[:, 1, 1])
+        J_intr[:, :, 9:11] = eye2 - E                 # d xy_d / d (x_c, y_c)
+        J_intr[:, :, 11:13] = E_duv @ (eye2 - C)      # d xy_d / d (u_c, v_c)
+    J_intr /= k_xy
 
-    # pose blocks: d xy_d / d rvec = T_xc @ G, d xy_d / d tvec = T_xc
-    drv = T_xc @ rot_jac
-    base = n_intr + 6 * batch.pose_index
-    cols3 = np.arange(3)[None, :]
-    J[rows_x[:, None], base[:, None] + cols3] = drv[:, 0, :] / k_xy
-    J[rows_y[:, None], base[:, None] + cols3] = drv[:, 1, :] / k_xy
-    J[rows_x[:, None], base[:, None] + 3 + cols3] = T_xc[:, 0, :] / k_xy
-    J[rows_y[:, None], base[:, None] + 3 + cols3] = T_xc[:, 1, :] / k_xy
-    return pixels, J
+    # pose block: d xy_d / d rvec = T_xc @ G, d xy_d / d tvec = T_xc
+    J_pose = np.empty((n, 2, 6))
+    J_pose[:, :, :3] = T_xc @ rot_jac
+    J_pose[:, :, 3:] = T_xc
+    J_pose /= k_xy
+    return pixels, J_intr, J_pose
 
 
 def sort_observations(observations) -> list[Observation]:

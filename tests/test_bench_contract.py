@@ -6,7 +6,10 @@ place; a name that moved or was renamed would break the traced run only.
 
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
+
+from plenocal import calibration
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -24,3 +27,24 @@ def test_patch_table_names_resolve():
     missing = [(getattr(owner, "__name__", "api"), attr)
                for owner, attr, *_ in table if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_refine_calls_project_pixels_through_its_module_name(
+        monkeypatch, clean_observations, board_points, setting):
+    # the tracer splits projection.project_pixels.{jac,eval} by the
+    # ``jacobian`` keyword of calls made through calibration.project_pixels;
+    # the linear stage is exact on clean data, so f starts 1 % off to make
+    # refine take steps
+    linear, _ = calibration.linear_calibrate(clean_observations, board_points,
+                                             setting)
+    initial = replace(linear, tpp=replace(linear.tpp, f=1.01 * linear.tpp.f))
+    original = calibration.project_pixels
+    seen = []
+
+    def recorder(*args, **kwargs):
+        seen.append(bool(kwargs.get("jacobian")))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(calibration, "project_pixels", recorder)
+    calibration.refine(initial, clean_observations, board_points)
+    assert True in seen and False in seen

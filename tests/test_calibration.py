@@ -1,10 +1,14 @@
 """Linear stage (homography, Q, closed form, extrinsics) and refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_projection import densify
 
 from plenocal import simulator as sim
-from plenocal.calibration import (CalibrationResult, RefineOptions, _q_entries,
+from plenocal.calibration import (CalibrationResult, RefineOptions,
+                                  _NormalEquations, _q_entries,
                                   calibrate, estimate_homography,
                                   extrinsics_from_homography, linear_calibrate,
                                   orthonormality_defect, refine,
@@ -13,7 +17,8 @@ from plenocal.calibration import (CalibrationResult, RefineOptions, _q_entries,
 from plenocal.errors import (DegenerateBoard, IllConditioned, InsufficientData,
                              InsufficientPoses, NegativeDiscriminant)
 from plenocal.evaluate import intrinsic_errors, pose_errors
-from plenocal.projection import DistortionParams, Pose
+from plenocal.projection import (DistortionParams, Pose, observation_batch,
+                                 project_pixels)
 from plenocal.rotation import rodrigues_matrix
 from plenocal.tpp import TppParams, projective_matrix
 
@@ -286,6 +291,67 @@ class TestRefine:
         assert 0.8 * 0.3 <= out.refined.rms <= 1.2 * 0.3
         d = out.refined.dist
         assert np.all(np.isfinite([d.x_c, d.y_c, d.u_c, d.v_c]))
+
+    @pytest.mark.parametrize("centers, frozen", [(False, [5, 6]), (True, [])],
+                             ids=["9-columns-s1-s2-frozen", "13-columns-free-centers"])
+    def test_schur_step_matches_dense_step(self, noisy_observations, board_points,
+                                           poses12, tpp_truth, centers, frozen):
+        # one LM step on the reduced system equals the dense damped solve
+        batch, observed, _, _ = observation_batch(noisy_observations[::25],
+                                                  board_points, list(poses12))
+        n_poses = batch.rvecs.shape[0]
+        # about 1 % radial distortion on both planes at the working radii
+        dist = DistortionParams(1e-9, -1e-17, 1e-10, -1e-18,
+                                tpp_truth.k_x * 2000.0, tpp_truth.k_x * 1340.0,
+                                tpp_truth.u_0 + 5.0, tpp_truth.v_0 - 3.0)
+        pixels, J_intr, J_pose = project_pixels(batch, tpp_truth, dist, jacobian=True,
+                                                optimize_centers=centers)
+        J_intr = -np.delete(J_intr, frozen, axis=2)
+        J_pose = -J_pose
+        J = densify(J_intr, J_pose, batch.pose_index)
+        # unit columns keep the dense reference solve well conditioned
+        col = np.linalg.norm(J, axis=0)
+        m = J_intr.shape[2]
+        J /= col
+        J_intr /= col[:m]
+        J_pose /= col[m:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
+        r = (observed - pixels).reshape(-1)
+        eq = _NormalEquations.from_blocks(
+            J_intr, J_pose, r, np.searchsorted(batch.pose_index, np.arange(n_poses + 1)))
+        A, g = J.T @ J, J.T @ r
+        assert eq.trace() == pytest.approx(np.trace(A), rel=1e-12)
+        assert eq.grad_inf() == pytest.approx(np.abs(g).max(), rel=1e-12)
+        # at refine's initial damping entry by entry; at a thousandth of it
+        # (condition ~1e5) roundoff in either solve reaches single small
+        # entries, so the steps are compared as vectors
+        for damping, entrywise in ((1e-3 * np.trace(A), True),
+                                   (1e-6 * np.trace(A), False)):
+            d_i, d_p = eq.step(damping)
+            step = np.concatenate([d_i, d_p.reshape(-1)])
+            dense = np.linalg.solve(A + damping * np.eye(A.shape[0]), -g)
+            if entrywise:
+                np.testing.assert_allclose(step, dense, rtol=1e-10)
+            else:
+                assert np.linalg.norm(step - dense) < 1e-10 * np.linalg.norm(dense)
+
+    def test_memory_linear_in_observations(self, camera, board, board_points,
+                                           setting):
+        # 48 poses, about 23k observations: a dense 2N x (9 + 6P) Jacobian
+        # alone would take 105 MiB; the block form peaked at 21 MiB
+        env = sim.default_envelope(camera, board)
+        obs = sim.synthesize_observations(camera, board, sim.generate_poses(48, 1, env),
+                                          DistortionParams(), 0.3, 2)
+        initial, _ = linear_calibrate(obs, board_points, setting)
+        tracemalloc.start()
+        try:
+            refine(initial, obs, board_points,
+                   RefineOptions(sensor_size=camera.sensor_resolution))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_mib = 2 * len(obs) * (9 + 6 * 48) * 8 / 2**20
+        assert dense_mib > 100
+        assert peak / 2**20 < 40
 
     def test_too_few_poses(self, board_points, tpp_truth):
         init = CalibrationResult(tpp_truth, DistortionParams(),

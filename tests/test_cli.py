@@ -228,6 +228,57 @@ class TestEvaluate:
                    "--out", tmp_path / "eval") == 2
 
 
+@pytest.fixture(scope="module")
+def report_path(sim_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("report")
+    assert run("calibrate", sim_dir / "observations.json", "--out", out) == 0
+    return out / "report.json"
+
+
+def null_setting_scale(payload):
+    payload["setting"]["k_xy"] = None
+
+
+def extra_distortion_key(payload):
+    payload["refined"]["distortion"]["k3"] = 0.0
+
+
+class TestWronglyTypedJson:
+    """A JSON value of the wrong type is a configuration error, not a
+    traceback."""
+
+    @pytest.mark.parametrize("edit", [null_setting_scale, extra_distortion_key],
+                             ids=["null-setting-scale", "extra-distortion-key"])
+    def test_evaluate_report_exit_2(self, sim_dir, report_path, tmp_path, edit):
+        payload = json.loads(report_path.read_text())
+        edit(payload)
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(payload))
+        assert run("evaluate", report, sim_dir / "ground_truth.json",
+                   "--out", tmp_path / "eval") == 2
+
+    def test_calibrate_null_setting_scale_exit_2(self, sim_dir, tmp_path):
+        setting = io.read_ground_truth(sim_dir / "ground_truth.json")["setting"]
+        setting["k_xy"] = None
+        setting_path = tmp_path / "setting.json"
+        setting_path.write_text(json.dumps(setting))
+        assert run("calibrate", sim_dir / "observations.json", "--out",
+                   tmp_path / "cal", "--setting", setting_path) == 2
+
+    def test_simulate_null_camera_field_exit_2(self, tmp_path):
+        cfg = small_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["camera"]["pixel_pitch_mm"] = None
+        cfg.write_text(json.dumps(payload))
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+
+    def test_calibrate_null_pixel_exit_2(self, sim_dir, tmp_path):
+        def null_pixel(payload):
+            payload["poses"][0]["observations"][0]["pixel"] = None
+        obs = tampered_observations(sim_dir, tmp_path, null_pixel)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+
+
 class TestRectify:
     def test_identity_misalignment(self, tmp_path):
         cfg = small_config(tmp_path)

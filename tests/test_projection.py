@@ -7,9 +7,10 @@ import pytest
 
 from plenocal.errors import BehindPlane, MissingReference, NonInvertible
 from plenocal.projection import (DistortionParams, Observation, Pose,
-                                 ProjectionBatch, apply_distortion,
+                                 ProjectionBatch, _rigid_motion, apply_distortion,
                                  observation_batch, project_pixels, residuals,
                                  sort_observations, undistort)
+from plenocal.rotation import rodrigues_matrix, rotate_points_jacobian
 from plenocal.tpp import TppParams, decode_virtual_rays, incidence_matrix
 
 
@@ -210,11 +211,26 @@ def random_configuration(seed, optimize_centers):
     return batch, tpp, dist
 
 
+def densify(J_intr, J_pose, pose_index):
+    """The dense 2N x (m + 6P) Jacobian of ``project_pixels``' blocks: rows
+    alternate pixel-x / pixel-y per observation, the m intrinsic columns come
+    first, and pose p owns columns m + 6p .. m + 6p + 5."""
+    n, _, m = J_intr.shape
+    n_poses = int(pose_index.max()) + 1
+    J = np.zeros((2 * n, m + 6 * n_poses))
+    J[:, :m] = J_intr.reshape(2 * n, m)
+    cols = m + 6 * np.repeat(pose_index, 2)[:, None] + np.arange(6)
+    J[np.arange(2 * n)[:, None], cols] = J_pose.reshape(2 * n, 6)
+    return J
+
+
 def jacobian_gap(seed, optimize_centers):
-    """Worst relative disagreement between analytic and central differences."""
+    """Worst relative disagreement between analytic and central differences,
+    over every entry of the dense Jacobian."""
     batch, tpp, dist = random_configuration(seed, optimize_centers)
-    pixels, J = project_pixels(batch, tpp, dist, jacobian=True,
-                               optimize_centers=optimize_centers)
+    pixels, J_intr, J_pose = project_pixels(batch, tpp, dist, jacobian=True,
+                                            optimize_centers=optimize_centers)
+    J = densify(J_intr, J_pose, batch.pose_index)
     n_poses = batch.rvecs.shape[0]
     theta = [tpp.k_x, tpp.k_u, tpp.u_0, tpp.v_0, tpp.f,
              dist.s1, dist.s2, dist.t1, dist.t2]
@@ -273,6 +289,27 @@ def jacobian_gap(seed, optimize_centers):
 def test_jacobian_matches_finite_differences(optimize_centers):
     for seed in range(5):
         assert jacobian_gap(seed, optimize_centers) < 1e-4
+
+
+def test_rigid_motion_matches_per_pose_rotation():
+    """The gathered rigid motion and sum_b p_b G(e_b) agree with each pose's
+    own rotation and rotate_points_jacobian; pose 0 takes the small-angle
+    branch, and the points leave the board plane so every basis term counts."""
+    rng = np.random.default_rng(6)
+    n_poses, n = 4, 200
+    rvecs = rng.normal(size=(n_poses, 3)) * 0.5
+    rvecs[0] = rng.normal(size=3) * 1e-12
+    tvecs = rng.normal(size=(n_poses, 3)) * 1e3
+    pts = rng.normal(size=(n, 3)) * 1e4
+    idx = np.sort(rng.integers(0, n_poses, n))
+    batch = ProjectionBatch(pts, np.zeros((n, 2)), idx, rvecs, tvecs)
+    Xc, rot_jac = _rigid_motion(batch, True)
+    for p in range(n_poses):
+        sel = idx == p
+        ref = rotate_points_jacobian(rvecs[p], pts[sel])
+        assert np.abs(rot_jac[sel] - ref).max() <= 1e-14 * np.abs(ref).max()
+        ref = pts[sel] @ rodrigues_matrix(rvecs[p]).T + tvecs[p]
+        assert np.abs(Xc[sel] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_observation_batch_layout(noisy_observations, board_points, poses12):

@@ -22,6 +22,7 @@ if _threads:
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -99,11 +100,36 @@ def _load_simulate_config(args) -> dict:
         cfg["white_image"] = True
     if args.misalign_deg is not None:
         cfg["misalignment_deg"] = list(args.misalign_deg)
-    if cfg["poses"] < 1:
-        raise ConfigError(f"pose count must be positive, got {cfg['poses']}")
-    if cfg["sigma"] < 0:
-        raise ConfigError(f"noise sigma must be non-negative, got {cfg['sigma']}")
+    if not _is_int(cfg["poses"]) or cfg["poses"] < 1:
+        raise ConfigError(f"poses must be a positive integer, got {cfg['poses']!r}")
+    if not _finite_real(cfg["sigma"]) or cfg["sigma"] < 0:
+        raise ConfigError(
+            f"sigma must be a finite non-negative number, got {cfg['sigma']!r}")
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg['seed']!r}")
+    if not _finite_real(cfg["max_rotation_deg"]) or cfg["max_rotation_deg"] < 0:
+        raise ConfigError("max_rotation_deg must be a finite non-negative number, "
+                          f"got {cfg['max_rotation_deg']!r}")
+    if not _finite_reals(cfg["scene_range_mm"], 2):
+        raise ConfigError(
+            f"scene_range_mm must be two finite numbers, got {cfg['scene_range_mm']!r}")
+    if cfg["misalignment_deg"] is not None and not _finite_reals(cfg["misalignment_deg"], 3):
+        raise ConfigError("misalignment_deg must be three finite numbers, "
+                          f"got {cfg['misalignment_deg']!r}")
     return cfg
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite_real(value) -> bool:
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+def _finite_reals(values, count: int) -> bool:
+    return (isinstance(values, (list, tuple)) and len(values) == count
+            and all(map(_finite_real, values)))
 
 
 def cmd_simulate(args) -> int:

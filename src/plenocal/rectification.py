@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
@@ -30,6 +30,8 @@ _BACKGROUND_PERCENTILE = 20.0
 # neighbors' tails pull centroids off by ~0.1 px
 _CENTROID_RADIUS = 0.45
 _ATTACH_RADIUS = 0.35         # lattice walk: max deviation from predicted site
+_MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])  # +i, -i, +j, -j
+_CENTROID_CHUNK = 1024        # centroid windows gathered per batch
 _DLT_RANK_TOL = 1e-8
 
 
@@ -95,37 +97,61 @@ def project_centers(spec: MlaMisalignmentSpec, labels: np.ndarray) -> np.ndarray
     return (g[:, :2] * (depth / g[:, 2])[:, None]) / spec.pixel_pitch
 
 
-def _blob_candidates(work: np.ndarray, pitch: float) -> np.ndarray:
-    """Local-maximum blob seeds as (N, 2) pixel coordinates (x, y)."""
-    peak = float(work.max())
+def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.ndarray:
+    """Local-maximum blob seeds as (N, 2) pixel coordinates (x, y).
+
+    A seed is the mean position of one 4-connected plateau of pixels that
+    equal the maximum of their neighborhood and rise above ``_PEAK_FRACTION``
+    of the peak over the background.  Subtracting the background and clipping
+    at zero is monotone, so the maxima are found on the raster itself.
+    """
+    peak = max(float(raster.max()) - background, 0.0)
     if peak <= 0.0:
         return np.empty((0, 2))
     size = max(3, int(round(pitch * 0.7)) | 1)
-    is_max = (work == ndimage.maximum_filter(work, size=size)) \
-        & (work > _PEAK_FRACTION * peak)
+    ys, xs = np.nonzero(raster == ndimage.maximum_filter(raster, size=size))
+    bright = raster[ys, xs] - background > _PEAK_FRACTION * peak
+    ys, xs = ys[bright], xs[bright]
+    is_max = np.zeros(raster.shape, dtype=bool)
+    is_max[ys, xs] = True
     labeled, count = ndimage.label(is_max)
     if count == 0:
         return np.empty((0, 2))
-    yx = np.asarray(ndimage.center_of_mass(is_max, labeled, np.arange(1, count + 1)))
-    return yx[:, ::-1].copy()
+    # coordinate sums are integers, so these means equal center_of_mass's
+    lab = labeled[ys, xs]
+    n = np.bincount(lab, minlength=count + 1)[1:]
+    x = np.bincount(lab, weights=xs, minlength=count + 1)[1:] / n
+    y = np.bincount(lab, weights=ys, minlength=count + 1)[1:] / n
+    return np.column_stack([x, y])
 
 
-def _refine_centroids(work: np.ndarray, seeds: np.ndarray, pitch: float) -> np.ndarray:
-    """Intensity-weighted centroid refinement around each seed."""
-    h, w = work.shape
+def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
+                      pitch: float) -> np.ndarray:
+    """Intensity-weighted centroid of the background-subtracted raster in a
+    (2r+1)-square window around each rounded seed.
+
+    Every window must lie inside the raster.  A seed whose window holds no
+    intensity (possible only for a non-convex plateau) keeps its position.
+    """
     r = int(round(_CENTROID_RADIUS * pitch))
-    out = np.empty_like(seeds)
-    for k, (sx, sy) in enumerate(seeds):
-        cx, cy = int(round(sx)), int(round(sy))
-        x0, x1 = max(0, cx - r), min(w, cx + r + 1)
-        y0, y1 = max(0, cy - r), min(h, cy + r + 1)
-        patch = work[y0:y1, x0:x1]
-        total = patch.sum()
-        if total <= 0.0:
-            out[k] = (sx, sy)
-            continue
-        ys, xs = np.mgrid[y0:y1, x0:x1]
-        out[k] = ((xs * patch).sum() / total, (ys * patch).sum() / total)
+    side = 2 * r + 1
+    windows = sliding_window_view(raster, (side, side))
+    corner = np.rint(seeds).astype(np.intp) - r
+    offsets = np.arange(side)
+    out = seeds.copy()
+    for lo in range(0, len(seeds), _CENTROID_CHUNK):
+        x0, y0 = corner[lo:lo + _CENTROID_CHUNK].T
+        patch = np.maximum(windows[y0, x0] - background, 0.0)
+        total = patch.sum(axis=(1, 2))
+        # absolute pixel coordinates as weights keep every sum bit-equal to
+        # that of the per-seed reference loop in the tests
+        xs = x0[:, None, None] + offsets[None, None, :]
+        ys = y0[:, None, None] + offsets[None, :, None]
+        moments = np.column_stack([(xs * patch).sum(axis=(1, 2)),
+                                   (ys * patch).sum(axis=(1, 2))])
+        lit = total > 0.0
+        block = out[lo:lo + _CENTROID_CHUNK]
+        block[lit] = moments[lit] / total[lit, None]
     return out
 
 
@@ -155,31 +181,46 @@ def _orient_axes(centers: np.ndarray, start: int, spacing: float):
 def detect_centers(white_image: np.ndarray, expected_pitch: float) -> list[MicroImageCenter]:
     """Detect and label micro-image centers on a white (pure scene) image.
 
-    Blobs are local maxima refined by intensity-weighted centroids; labels are
-    grown outward from the blob nearest the image center by a nearest-neighbor
-    walk, so smooth lattice distortion (rotation, perspective) is tolerated.
+    Blobs are local maxima refined by intensity-weighted centroids.  Seeds
+    within ``_CENTROID_RADIUS`` pitch of the border are dropped first: their
+    windows would clip, and since rounding is monotone every kept seed's
+    (2r+1)-square window lies wholly inside the raster.
+
+    Labels are grown outward from the blob nearest the image center by a
+    breadth-first nearest-neighbor walk, so smooth lattice distortion
+    (rotation, perspective) is tolerated.  Each labeled blob predicts its four
+    neighbors from the local lattice steps it was reached with; the blob
+    nearest a prediction, if within ``_ATTACH_RADIUS`` spacing and not yet
+    labeled, takes the neighbor's label.  A prediction depends only on its
+    parent's position and steps, so one whole BFS frontier is queried at once
+    and claims are granted in queue order (+i, -i, +j, -j per parent), the
+    first claim on a blob winning; this is the order of a one-at-a-time walk.
+    Centers are returned sorted by (j, i).
     """
-    img = np.asarray(white_image, dtype=float)
-    if img.ndim != 2:
+    raster = np.asarray(white_image)
+    if raster.ndim != 2:
         raise ValueError("white image must be a single-channel raster")
     if expected_pitch <= 4.0:
         raise ValueError("expected pitch must exceed 4 pixels")
-    if min(img.shape) < 3 * expected_pitch:
+    if min(raster.shape) < 3 * expected_pitch:
         raise ValueError("image too small for the expected pitch")
+    # an integer raster stays integer: the percentile, the maximum filter and
+    # the window sums below give the same numbers on it, with less memory
+    if raster.dtype.kind not in "ui":
+        raster = raster.astype(float)
 
-    work = img - np.percentile(img, _BACKGROUND_PERCENTILE)
-    np.clip(work, 0.0, None, out=work)
-    seeds = _blob_candidates(work, expected_pitch)
+    background = float(np.percentile(raster, _BACKGROUND_PERCENTILE))
+    seeds = _blob_candidates(raster, background, expected_pitch)
     # blobs whose centroid window would clip at the border carry biased
     # centroids (truncated discs); drop them before refinement
     margin = _CENTROID_RADIUS * expected_pitch
-    h, w = img.shape
+    h, w = raster.shape
     keep = ((seeds[:, 0] > margin) & (seeds[:, 0] < w - 1 - margin)
             & (seeds[:, 1] > margin) & (seeds[:, 1] < h - 1 - margin))
     seeds = seeds[keep]
     if seeds.shape[0] < 10:
         raise NoGridFound(f"only {seeds.shape[0]} usable blobs found")
-    centers = _refine_centroids(work, seeds, expected_pitch)
+    centers = _refine_centroids(raster, background, seeds, expected_pitch)
 
     tree = cKDTree(centers)
     nn, _ = tree.query(centers, k=2)
@@ -189,32 +230,41 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> list[Micro
             f"median spacing {spacing:.2f} px deviates from expected "
             f"{expected_pitch:.2f} px by more than 25%")
 
-    h, w = img.shape
     start = int(np.argmin(np.hypot(centers[:, 0] - (w - 1) / 2,
                                    centers[:, 1] - (h - 1) / 2)))
     step_i, step_j = _orient_axes(centers, start, spacing)
 
-    labels: dict[int, tuple[int, int]] = {start: (0, 0)}
-    queue = deque([(start, np.asarray(step_i, float), np.asarray(step_j, float))])
     attach = _ATTACH_RADIUS * spacing
-    while queue:
-        k, si, sj = queue.popleft()
-        i, j = labels[k]
-        pos = centers[k]
-        for di, dj, step in ((1, 0, si), (-1, 0, -si), (0, 1, sj), (0, -1, -sj)):
-            dist, m = tree.query(pos + step)
-            if dist > attach or m in labels:
-                continue
-            labels[m] = (i + di, j + dj)
-            local = centers[m] - pos
-            nsi = local * (1 if di > 0 else -1) if di != 0 else si
-            nsj = local * (1 if dj > 0 else -1) if dj != 0 else sj
-            queue.append((m, nsi, nsj))
+    labels = np.zeros((len(centers), 2), dtype=int)
+    labeled = np.zeros(len(centers), dtype=bool)
+    labeled[start] = True
+    visited = [np.array([start])]
+    frontier = visited[0]
+    si = np.asarray(step_i, float)[None]
+    sj = np.asarray(step_j, float)[None]
+    while frontier.size:
+        pos = centers[frontier]
+        steps = np.stack([si, -si, sj, -sj], axis=1)          # (F, 4, 2)
+        dist, m = tree.query((pos[:, None, :] + steps).reshape(-1, 2))
+        cand = np.flatnonzero((dist <= attach) & ~labeled[m])
+        _, first = np.unique(m[cand], return_index=True)
+        claim = cand[np.sort(first)]
+        parent, move = np.divmod(claim, 4)
+        new = m[claim]
+        labeled[new] = True
+        labels[new] = labels[frontier[parent]] + _MOVES[move]
+        local = centers[new] - pos[parent]
+        si = np.where((move == 0)[:, None], local,
+                      np.where((move == 1)[:, None], -local, si[parent]))
+        sj = np.where((move == 2)[:, None], local,
+                      np.where((move == 3)[:, None], -local, sj[parent]))
+        frontier = new
+        visited.append(new)
 
-    out = [MicroImageCenter(i, j, float(centers[k][0]), float(centers[k][1]))
-           for k, (i, j) in labels.items()]
-    out.sort(key=lambda c: (c.j, c.i))
-    return out
+    order = np.concatenate(visited)
+    order = order[np.lexsort((labels[order, 0], labels[order, 1]))]
+    return [MicroImageCenter(i, j, x, y)
+            for (i, j), (x, y) in zip(labels[order].tolist(), centers[order].tolist())]
 
 
 def row_slopes(centers: list[MicroImageCenter]) -> list[tuple[int, float]]:

@@ -9,7 +9,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from plenocal import calibration
+from plenocal import calibration, cli, io, simulator
+from plenocal.rectification import write_pgm
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
@@ -48,3 +49,30 @@ def test_refine_calls_project_pixels_through_its_module_name(
     monkeypatch.setattr(calibration, "project_pixels", recorder)
     calibration.refine(initial, clean_observations, board_points)
     assert True in seen and False in seen
+
+
+def test_rectify_calls_detect_centers_through_the_cli_module(
+        monkeypatch, tmp_path, camera, board, clean_observations, white_image):
+    # the tracer's rectification.detect_centers span wraps calls made through
+    # cli.detect_centers, and rectification.centers counts what they return
+    obs = tmp_path / "observations.json"
+    io.write_observations(obs, clean_observations, board_rows=board.rows,
+                          board_cols=board.cols, cell_mm=board.cell,
+                          pixel_pitch_mm=camera.pixel_pitch,
+                          sensor_px=camera.sensor_resolution)
+    pgm = tmp_path / "white.pgm"
+    write_pgm(pgm, white_image)
+    original = cli.detect_centers
+    counts = []
+
+    def recorder(*args, **kwargs):
+        centers = original(*args, **kwargs)
+        counts.append(len(centers))
+        return centers
+
+    monkeypatch.setattr(cli, "detect_centers", recorder)
+    pitch = simulator.default_setting(camera).k_u
+    assert cli.main(["rectify", str(obs), "--white-image", str(pgm),
+                     "--pitch", str(pitch), "--out", str(tmp_path / "rect")]) == 0
+    detected = io.load_json(tmp_path / "rect" / "rectification.json")
+    assert counts == [detected["centers_detected"]]

@@ -272,6 +272,19 @@ class TestWronglyTypedJson:
         cfg.write_text(json.dumps(payload))
         assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_rotation_deg", None), ("seed", "x"), ("seed", -1),
+        ("max_rotation_deg", float("nan")), ("scene_range_mm", [1300.0, float("inf")]),
+        ("poses", 2.5), ("sigma", float("nan")), ("misalignment_deg", [0.1, 0.2]),
+    ], ids=["null-rotation", "string-seed", "negative-seed", "nan-rotation",
+            "infinite-scene-range", "fractional-poses", "nan-sigma",
+            "two-misalignment-angles"])
+    def test_simulate_bad_generator_field_exit_2(self, tmp_path, caplog, field, value):
+        # the generators read these only after the config was accepted
+        cfg = small_config(tmp_path, **{field: value})
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
+        assert field in caplog.text
+
     def test_calibrate_null_pixel_exit_2(self, sim_dir, tmp_path):
         def null_pixel(payload):
             payload["poses"][0]["observations"][0]["pixel"] = None

@@ -1,8 +1,14 @@
 """Micro-image centers, slope analysis, rectifying homography, PGM I/O."""
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
+from plenocal import rectification
 from plenocal import simulator as sim
 from plenocal.errors import (AmbiguousPitch, DegenerateGeometry, NoGridFound,
                              PointAtInfinity, TooFewCenters)
@@ -24,6 +30,76 @@ def label_grid(ni, nj):
     ii, jj = np.meshgrid(np.arange(-ni, ni + 1), np.arange(-nj, nj + 1),
                          indexing="ij")
     return np.column_stack([ii.ravel(), jj.ravel()])
+
+
+def reference_detect_centers(white_image, expected_pitch):
+    """detect_centers as one query and one seed at a time: center_of_mass
+    seeds, a per-seed centroid window clipped to the raster, and a sequential
+    breadth-first lattice walk.  The vectorized detector must match it."""
+    work = reference_work(white_image)
+    seeds = reference_seeds(work, expected_pitch)
+    margin = rectification._CENTROID_RADIUS * expected_pitch
+    h, w = work.shape
+    seeds = seeds[(seeds[:, 0] > margin) & (seeds[:, 0] < w - 1 - margin)
+                  & (seeds[:, 1] > margin) & (seeds[:, 1] < h - 1 - margin)]
+    r = int(round(rectification._CENTROID_RADIUS * expected_pitch))
+    centers = np.empty_like(seeds)
+    for k, (sx, sy) in enumerate(seeds):
+        cx, cy = int(round(sx)), int(round(sy))
+        x0, x1 = max(0, cx - r), min(w, cx + r + 1)
+        y0, y1 = max(0, cy - r), min(h, cy + r + 1)
+        patch = work[y0:y1, x0:x1]
+        total = patch.sum()
+        if total <= 0.0:
+            centers[k] = (sx, sy)
+            continue
+        ys, xs = np.mgrid[y0:y1, x0:x1]
+        centers[k] = ((xs * patch).sum() / total, (ys * patch).sum() / total)
+
+    tree = cKDTree(centers)
+    nn, _ = tree.query(centers, k=2)
+    spacing = float(np.median(nn[:, 1]))
+    start = int(np.argmin(np.hypot(centers[:, 0] - (w - 1) / 2,
+                                   centers[:, 1] - (h - 1) / 2)))
+    step_i, step_j = rectification._orient_axes(centers, start, spacing)
+    labels = {start: (0, 0)}
+    queue = deque([(start, np.asarray(step_i, float), np.asarray(step_j, float))])
+    attach = rectification._ATTACH_RADIUS * spacing
+    while queue:
+        k, si, sj = queue.popleft()
+        i, j = labels[k]
+        pos = centers[k]
+        for di, dj, step in ((1, 0, si), (-1, 0, -si), (0, 1, sj), (0, -1, -sj)):
+            dist, m = tree.query(pos + step)
+            if dist > attach or m in labels:
+                continue
+            labels[m] = (i + di, j + dj)
+            local = centers[m] - pos
+            nsi = local * (1 if di > 0 else -1) if di != 0 else si
+            nsj = local * (1 if dj > 0 else -1) if dj != 0 else sj
+            queue.append((m, nsi, nsj))
+    out = [MicroImageCenter(i, j, float(centers[k][0]), float(centers[k][1]))
+           for k, (i, j) in labels.items()]
+    out.sort(key=lambda c: (c.j, c.i))
+    return out
+
+
+def reference_work(white_image):
+    """The raster as floats, less its background percentile, clipped at 0."""
+    img = np.asarray(white_image, dtype=float)
+    work = img - np.percentile(img, rectification._BACKGROUND_PERCENTILE)
+    return np.clip(work, 0.0, None)
+
+
+def reference_seeds(work, pitch):
+    """Blob seeds (x, y) as the centers of mass of the local-maximum plateaus."""
+    peak = float(work.max())
+    size = max(3, int(round(pitch * 0.7)) | 1)
+    is_max = (work == ndimage.maximum_filter(work, size=size)) \
+        & (work > rectification._PEAK_FRACTION * peak)
+    labeled, count = ndimage.label(is_max)
+    yx = np.asarray(ndimage.center_of_mass(is_max, labeled, np.arange(1, count + 1)))
+    return yx[:, ::-1].copy()
 
 
 class TestProjectCenter:
@@ -150,18 +226,19 @@ class TestRectifyingHomography:
             estimate_rectifying_homography(centers)
 
 
-class TestDetectCenters:
-    def small_camera(self):
-        # compact sensor keeps the raster quick to render and scan
-        return sim.PhysicalCameraSpec(
-            main_focal=50.0,
-            sensor_origin=(-3.0, -2.3, 68.76),
-            mla_origin=(0.04, -0.03, 65.35),
-            pixel_pitch=0.009, sensor_resolution=(660, 500),
-            lens_pitch=0.3, micro_image_radius=16.5)
+def small_camera():
+    # compact sensor keeps the raster quick to render and scan
+    return sim.PhysicalCameraSpec(
+        main_focal=50.0,
+        sensor_origin=(-3.0, -2.3, 68.76),
+        mla_origin=(0.04, -0.03, 65.35),
+        pixel_pitch=0.009, sensor_resolution=(660, 500),
+        lens_pitch=0.3, micro_image_radius=16.5)
 
+
+class TestDetectCenters:
     def test_clean_round_trip(self):
-        spec = self.small_camera()
+        spec = small_camera()
         img = sim.synthesize_white_image(spec)
         pitch = sim.default_setting(spec).k_u
         centers = detect_centers(img, pitch)
@@ -203,13 +280,13 @@ class TestDetectCenters:
             detect_centers(np.full((400, 600), 900, dtype=np.uint16), 35.0)
 
     def test_wrong_pitch(self):
-        spec = self.small_camera()
+        spec = small_camera()
         img = sim.synthesize_white_image(spec)
         with pytest.raises(AmbiguousPitch):
             detect_centers(img, 50.0)
 
     def test_rotated_labels_consistent(self):
-        spec = self.small_camera()
+        spec = small_camera()
         mla = sim.aligned_mla(spec, rotation=np.radians([0.0, 0.5, 0.0]))
         img = sim.synthesize_white_image(spec, mla)
         centers = detect_centers(img, sim.default_setting(spec).k_u)
@@ -219,6 +296,127 @@ class TestDetectCenters:
         coef, *_ = np.linalg.lstsq(A, xy, rcond=None)
         resid = np.abs(A @ coef - xy).max()
         assert resid < 0.3 * sim.default_setting(spec).k_u
+
+
+@pytest.fixture(scope="module")
+def rotated_white():
+    spec = small_camera()
+    mla = sim.aligned_mla(spec, rotation=np.radians([0.0, 0.5, 0.0]))
+    pitch = sim.default_setting(spec).k_u
+    img = sim.synthesize_white_image(spec, mla)
+    return img, pitch, reference_seeds(reference_work(img), pitch)
+
+
+def crop_at_margin(img, seeds, pitch, k, inside):
+    """A crop putting a seed within 1 px of the border margin on each edge,
+    just inside it (kept, its centroid window touching the border) or just
+    outside it (dropped, its window would cross the border)."""
+    margin = rectification._CENTROID_RADIUS * pitch
+    xs, ys = seeds.T
+    xa = xs[np.argmin(abs(xs - (90 + 11 * k)))]
+    xb = xs[np.argmin(abs(xs - (570 - 13 * k)))]
+    ya = ys[np.argmin(abs(ys - (80 + 9 * k)))]
+    yb = ys[np.argmin(abs(ys - (420 - 7 * k)))]
+    x0, x1 = math.ceil(xa - margin - 1), math.floor(xb + 1 + margin) + 1
+    y0, y1 = math.ceil(ya - margin - 1), math.floor(yb + 1 + margin) + 1
+    crop = img[y0:y1, x0:x1]
+    return crop if inside else crop[1:-1, 1:-1]
+
+
+def near_center_seed(seeds, img, offset):
+    xs, ys = seeds.T
+    h, w = img.shape
+    k = np.argmin(np.hypot(xs - (w - 1) / 2 - offset[0], ys - (h - 1) / 2 - offset[1]))
+    return int(round(xs[k])), int(round(ys[k]))
+
+
+def with_hole(img, seeds, pitch):
+    """One interior micro-image blanked out."""
+    x, y = near_center_seed(seeds, img, (2 * pitch, 0.0))
+    half = math.ceil(small_camera().micro_image_radius)    # the disc's 3 sigma
+    out = img.copy()
+    out[y - half:y + half + 1, x - half:x + half + 1] = 0
+    return out
+
+
+def with_dark_plateau_center(img, seeds, pitch):
+    """One micro-image replaced by a saturated square outline around a dark
+    core: the outline is one plateau whose centroid window holds no light."""
+    x, y = near_center_seed(seeds, img, (-3 * pitch, -pitch))
+    r = int(round(rectification._CENTROID_RADIUS * pitch))
+    out = img.copy()
+    out[y - r - 2:y + r + 3, x - r - 2:x + r + 3] = 65535
+    out[y - r:y + r + 1, x - r:x + r + 1] = 0
+    return out
+
+
+def dislocated_lattice(pitch=35.0, core=(400.0, 250.0)):
+    """Discs on a square lattice with an edge dislocation: walking around the
+    core gains one column, so the label a blob gets depends on which claim
+    on it is granted first."""
+    gi, gj = np.meshgrid(np.arange(-1, 21), np.arange(-1, 16), indexing="ij")
+    pts = np.column_stack([gi.ravel(), gj.ravel()]) * pitch + 5.0
+    pts[:, 0] += pitch * np.arctan2(pts[:, 1] - core[1], pts[:, 0] - core[0]) / (2 * np.pi)
+    h, w = 500, 660
+    sigma = 16.5 / 3.0
+    half = int(math.ceil(3.0 * sigma))
+    img = np.zeros((h, w))
+    for cx, cy in pts:
+        x0, x1 = max(0, int(cx) - half), min(w, int(cx) + half + 1)
+        y0, y1 = max(0, int(cy) - half), min(h, int(cy) + half + 1)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        ys, xs = np.mgrid[y0:y1, x0:x1]
+        img[y0:y1, x0:x1] += 58000.0 * np.exp(
+            -((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
+    return np.clip(img, 0.0, 65535.0).astype(np.uint16)
+
+
+class TestDetectCentersMatchesReference:
+    """The batched detector returns the sequential detector's labels, in the
+    same order, and its centers."""
+
+    def assert_matches(self, img, pitch):
+        got = detect_centers(img, pitch)
+        want = reference_detect_centers(img, pitch)
+        assert [(c.i, c.j) for c in got] == [(c.i, c.j) for c in want]
+        np.testing.assert_allclose([(c.x, c.y) for c in got],
+                                   [(c.x, c.y) for c in want], rtol=0, atol=1e-9)
+        return got
+
+    def test_full_raster(self, rotated_white):
+        img, pitch, _ = rotated_white
+        self.assert_matches(img, pitch)
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    @pytest.mark.parametrize("k", range(3))
+    def test_seeds_at_the_margin(self, rotated_white, k, inside):
+        img, pitch, seeds = rotated_white
+        crop = crop_at_margin(img, seeds, pitch, k, inside)
+        h, w = crop.shape
+        margin = rectification._CENTROID_RADIUS * pitch
+        lo, hi = (margin, margin + 1) if inside else (margin - 1, margin)
+        sx, sy = reference_seeds(reference_work(crop), pitch).T
+        assert np.any((sx > lo) & (sx <= hi))
+        assert np.any((sx < w - 1 - lo) & (sx >= w - 1 - hi))
+        assert np.any((sy > lo) & (sy <= hi))
+        assert np.any((sy < h - 1 - lo) & (sy >= h - 1 - hi))
+        self.assert_matches(crop, pitch)
+
+    def test_missing_micro_image(self, rotated_white):
+        img, pitch, seeds = rotated_white
+        got = self.assert_matches(with_hole(img, seeds, pitch), pitch)
+        assert len(got) == len(detect_centers(img, pitch)) - 1
+
+    def test_plateau_without_light_in_its_window(self, rotated_white):
+        img, pitch, seeds = rotated_white
+        x, y = near_center_seed(seeds, img, (-3 * pitch, -pitch))
+        got = self.assert_matches(with_dark_plateau_center(img, seeds, pitch), pitch)
+        # the outline's seed keeps its position and is labeled
+        assert any((c.x, c.y) == (x, y) for c in got)
+
+    def test_lattice_dislocation(self):
+        self.assert_matches(dislocated_lattice(), 35.0)
 
 
 class TestRectifyObservations:

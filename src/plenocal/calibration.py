@@ -27,8 +27,8 @@ from .errors import (BehindPlane, DegenerateBoard, DivergedOptimization,
                      IllConditioned, InsufficientData, InsufficientPoses,
                      MissingReference, NegativeDiscriminant, NonFiniteResidual,
                      ReflectionDetected)
-from .projection import (DistortionParams, Observation, Pose, observation_batch,
-                         project_pixels, residuals)
+from .projection import (DistortionParams, Observations, Pose, _unique_rows,
+                         board_sites, observation_batch, project_pixels, residuals)
 from .rotation import nearest_rotation, rodrigues_vector
 from .rectification import _normalize_2d
 from .tpp import TppParams, decode_virtual_rays, incidence_matrix, projective_matrix
@@ -49,13 +49,18 @@ _STEP_TOL = 1e-12
 
 @dataclass
 class CalibrationResult:
-    """Calibrated scene-side camera, distortion, per-pose extrinsics, residuals."""
+    """Calibrated scene-side camera, distortion, per-pose extrinsics, residuals.
+
+    ``residuals`` holds the (N, 2) re-projection residuals (observed -
+    predicted) in the row order of the observation table, when known.
+    """
 
     tpp: TppParams
     dist: DistortionParams
     poses: list[Pose]
     rms: float
     residual_histogram: list[tuple[float, int]] = field(default_factory=list)
+    residuals: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -313,7 +318,7 @@ def residual_histogram(res: np.ndarray, bin_width: float = 0.1
     return [(float(e), int(c)) for e, c in zip(edges[:-1], counts)]
 
 
-def setting_from_observations(observations, sensor_px) -> TppParams:
+def setting_from_observations(observations: Observations, sensor_px) -> TppParams:
     """Heuristic decode setting for data that comes without one.
 
     Unit x-y scale, the micro-image pitch fitted to the mean pixel position
@@ -321,12 +326,10 @@ def setting_from_observations(observations, sensor_px) -> TppParams:
     when given, else of the observed extent), and a plane separation in the
     same regime.  Raises ValueError when no positive pitch can be fitted.
     """
-    lenses = np.array([(o.lens_i, o.lens_j) for o in observations], dtype=int)
-    if len(lenses) == 0:
+    if len(observations) == 0:
         raise ValueError("cannot estimate a micro-image pitch from the observations")
-    pixels = np.array([(o.px, o.py) for o in observations], dtype=float)
-    labels, inverse = np.unique(lenses, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    pixels = observations.pixel
+    labels, inverse = _unique_rows(observations.lens)
     counts = np.bincount(inverse)
     means = np.column_stack([np.bincount(inverse, weights=pixels[:, k]) / counts
                              for k in (0, 1)])
@@ -341,35 +344,26 @@ def setting_from_observations(observations, sensor_px) -> TppParams:
     return TppParams.isotropic(1.0, pitch, w / 2.0, h / 2.0, 11.0 * pitch)
 
 
-def _group_rays(observations, board_points, setting: TppParams):
-    """Per pose id, the (board XY, decoded ray array) pairs the DLT consumes."""
-    by_pose: dict[int, dict[int, list[Observation]]] = {}
-    for o in observations:
-        by_pose.setdefault(o.pose_id, {}).setdefault(o.point_id, []).append(o)
-    grouped = {}
-    for pid in sorted(by_pose):
-        entries = []
-        for point_id in sorted(by_pose[pid]):
-            group = by_pose[pid][point_id]
-            if len(group) < 2:
-                continue
-            pixels = np.array([(o.px, o.py) for o in group])
-            lenses = np.array([(o.lens_i, o.lens_j) for o in group], dtype=float)
-            entries.append((np.asarray(board_points[point_id], dtype=float)[:2],
-                            decode_virtual_rays(pixels, lenses, setting)))
-        grouped[pid] = entries
+def _group_rays(observations: Observations, board_points, setting: TppParams):
+    """Per pose id, the (board XY, decoded ray array) pairs the DLT consumes:
+    one per (pose, point) pair with at least two rays, in table order."""
+    rays = decode_virtual_rays(observations.pixel, observations.lens, setting)
+    starts, board_xy = board_sites(observations, board_points)
+    grouped: dict[int, list] = {}
+    for xy, a, b in zip(board_xy, starts[:-1].tolist(), starts[1:].tolist()):
+        entries = grouped.setdefault(int(observations.pose[a]), [])
+        if b - a >= 2:
+            entries.append((xy, rays[a:b]))
     return grouped
 
 
-def linear_calibrate(observations, board_points, setting: TppParams
+def linear_calibrate(observations: Observations, board_points, setting: TppParams
                      ) -> tuple[CalibrationResult, tuple]:
     """Closed-form stage: homographies, plane transform, extrinsics, gauge map.
 
     Returns the scene-side result (zero distortion) and the raw transform
     parameters (k_xy, k_uv, u_0, v_0, f) for diagnostics.
     """
-    if not isinstance(board_points, dict):
-        board_points = dict(enumerate(np.atleast_2d(np.asarray(board_points, float))))
     grouped = _group_rays(observations, board_points, setting)
     if len(grouped) < 3:
         raise InsufficientPoses(f"need at least 3 poses, got {len(grouped)}")
@@ -378,12 +372,11 @@ def linear_calibrate(observations, board_points, setting: TppParams
     k_xy, k_uv, u_0, v_0, f = solve_q(list(homographies.values()), setting.f_prime)
     P = projective_matrix(TppParams.isotropic(k_xy, k_uv, u_0, v_0, f,
                                               f_prime=setting.f_prime))
-    poses = [extrinsics_from_homography(homographies[pid], P)
-             for pid in sorted(homographies)]
+    poses = {pid: extrinsics_from_homography(H, P) for pid, H in homographies.items()}
     tpp = scene_tpp_from_transform(k_xy, k_uv, u_0, v_0, f, setting)
     res, rms = residuals(observations, board_points, poses, tpp, DistortionParams())
-    result = CalibrationResult(tpp, DistortionParams(), poses, rms,
-                               residual_histogram(res))
+    result = CalibrationResult(tpp, DistortionParams(), list(poses.values()), rms,
+                               residual_histogram(res), res)
     return result, (k_xy, k_uv, u_0, v_0, f)
 
 
@@ -413,6 +406,7 @@ def _pack(tpp: TppParams, dist: DistortionParams, poses, centers: bool) -> np.nd
 
 def _unpack(theta: np.ndarray, n_poses: int, centers: bool,
             fixed_centers, f_prime: float):
+    """Camera, distortion, and the (P, 6) (rvec, tvec) rows of the poses."""
     k_xy, k_uv, u_0, v_0, f = theta[:5]
     s1, s2, t1, t2 = theta[5:9]
     base = 9
@@ -423,11 +417,7 @@ def _unpack(theta: np.ndarray, n_poses: int, centers: bool,
         x_c, y_c, u_c, v_c = fixed_centers
     tpp = TppParams.isotropic(k_xy, k_uv, u_0, v_0, f, f_prime=f_prime)
     dist = DistortionParams(s1, s2, t1, t2, x_c, y_c, u_c, v_c)
-    poses = []
-    for p in range(n_poses):
-        off = base + 6 * p
-        poses.append(Pose(theta[off:off + 3], theta[off + 3:off + 6]))
-    return tpp, dist, poses
+    return tpp, dist, theta[base:].reshape(n_poses, 6)
 
 
 def _parameter_scales(theta0: np.ndarray, tpp: TppParams, lenses: np.ndarray,
@@ -518,7 +508,7 @@ class _NormalEquations:
         return d_i, d_p
 
 
-def refine(initial: CalibrationResult, observations, board_points,
+def refine(initial: CalibrationResult, observations: Observations, board_points,
            options: RefineOptions | None = None
            ) -> tuple[CalibrationResult, list[dict]]:
     """Minimize the re-projection error by damped least squares.
@@ -532,21 +522,23 @@ def refine(initial: CalibrationResult, observations, board_points,
     step vanishes, or an accepted step lowers the cost by less than
     ``_COST_TOL`` of it: the cost then sits at its numerical floor.
 
-    Returns the refined result and the per-iteration trace.
+    Returns the refined result, whose ``residuals`` are those of its
+    parameters in table order, and the per-iteration trace.
     """
     options = options or RefineOptions()
     if len(initial.poses) < 3:
         raise InsufficientPoses(f"refinement needs >= 3 poses, got {len(initial.poses)}")
-    seen_ids = sorted({o.pose_id for o in observations})
+    seen_ids = np.unique(observations.pose).tolist()
     if len(seen_ids) != len(initial.poses):
         raise MissingReference(
             f"{len(initial.poses)} initial poses for {len(seen_ids)} pose ids")
-    pose_map = dict(zip(seen_ids, initial.poses))
-    batch, observed, pose_ids, _ = observation_batch(observations, board_points,
-                                                     pose_map)
-    n_poses = len(pose_ids)
-    # observation_batch sorts rows by pose, so each pose owns one slice
-    starts = np.searchsorted(batch.pose_index, np.arange(n_poses + 1))
+    batch = observation_batch(observations, board_points,
+                              dict(zip(seen_ids, initial.poses)))
+    observed = observations.pixel
+    n_poses = len(seen_ids)
+    pose_index = batch.pose_index
+    # the table is sorted by pose, so each pose owns one slice of rows
+    starts = np.searchsorted(pose_index, np.arange(n_poses + 1))
     centers = options.optimize_distortion_centers
     n_intr = 13 if centers else 9
     fixed_centers = _default_centers(initial.tpp, observed, options)
@@ -555,21 +547,23 @@ def refine(initial: CalibrationResult, observations, board_points,
     f_prime = initial.tpp.f_prime
 
     theta = _pack(initial.tpp, dist0, initial.poses, centers)
-    scales = _parameter_scales(theta, initial.tpp, batch.lenses, observed,
+    scales = _parameter_scales(theta, initial.tpp, observations.lens, observed,
                                fixed_centers, n_poses, centers)
     active = np.ones(theta.size, dtype=bool)
     if not options.optimize_xy_distortion:
         active[5:7] = False              # freeze s1, s2 at their initial values
     intr_scales = -scales[:n_intr][active[:n_intr]]
-    pose_scales = -scales[n_intr:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
+    pose_scales = -scales[n_intr:].reshape(n_poses, 6)[pose_index][:, None, :]
 
     def evaluate(th: np.ndarray, with_jacobian: bool):
         """Residuals (flattened) and optionally the prediction Jacobian
         blocks; None when the candidate parameters are not evaluable."""
         try:
-            tpp, dist, poses = _unpack(th, n_poses, centers, fixed_centers, f_prime)
-            posed = replace(batch, rvecs=np.stack([p.rotation for p in poses]),
-                            tvecs=np.stack([p.translation for p in poses]))
+            tpp, dist, pose_rows = _unpack(th, n_poses, centers, fixed_centers, f_prime)
+            if not np.all(np.isfinite(pose_rows)):
+                raise ValueError("pose components must be finite")
+            posed = replace(batch, rvecs=np.ascontiguousarray(pose_rows[:, :3]),
+                            tvecs=np.ascontiguousarray(pose_rows[:, 3:]))
             out = project_pixels(posed, tpp, dist,
                                  jacobian=with_jacobian, optimize_centers=centers)
         except (ValueError, BehindPlane):
@@ -642,14 +636,15 @@ def refine(initial: CalibrationResult, observations, board_points,
                 raise DivergedOptimization(
                     f"{rejected_run} consecutive rejected steps at cost {cost}")
 
-    tpp, dist, poses = _unpack(theta, n_poses, centers, fixed_centers, f_prime)
+    tpp, dist, pose_rows = _unpack(theta, n_poses, centers, fixed_centers, f_prime)
+    poses = [Pose(row[:3], row[3:]) for row in pose_rows]
     res = r.reshape(-1, 2)
     rms = float(np.sqrt(np.mean(res**2)))
-    result = CalibrationResult(tpp, dist, poses, rms, residual_histogram(res))
+    result = CalibrationResult(tpp, dist, poses, rms, residual_histogram(res), res)
     return result, trace
 
 
-def calibrate(observations, board_points, setting: TppParams,
+def calibrate(observations: Observations, board_points, setting: TppParams,
               options: RefineOptions | None = None) -> CalibrationOutput:
     """Full pipeline: closed-form initialization then damped least squares.
 

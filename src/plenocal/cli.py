@@ -33,7 +33,9 @@ from .calibration import RefineOptions, calibrate, setting_from_observations
 from .errors import PlenocalError
 from .evaluate import (intrinsic_errors, mean_intrinsic_error, pose_errors,
                        settings_match)
-from .projection import DistortionParams, residuals, sort_observations
+# residuals stays bound here: the benchmark's tracer (bench/workloads.py)
+# wraps cli.residuals
+from .projection import DistortionParams, residuals  # noqa: F401
 from .rectification import (detect_centers, estimate_rectifying_homography,
                             read_pgm, rectify_centers, rectify_observations,
                             row_slopes, write_pgm)
@@ -206,15 +208,14 @@ def cmd_calibrate(args) -> int:
     except PlenocalError as exc:
         log.error("calibration failed: %s: %s", type(exc).__name__, exc)
         return EXIT_CALIBRATION
-    res, _ = residuals(observations, board_points, output.refined.poses,
-                       output.refined.tpp, output.refined.dist)
     option_echo = {
         "optimize_distortion_centers": args.optimize_distortion_centers,
         "fix_xy_distortion": args.fix_xy_distortion,
         "max_iterations": args.max_iterations,
     }
     io.write_report(out / "report.json", output, options=option_echo)
-    io.write_residual_csv(out / "residuals.csv", sort_observations(observations), res)
+    io.write_residual_csv(out / "residuals.csv", observations,
+                          output.refined.residuals)
     _write_run_config(out, {
         "command": "calibrate", "observations": str(args.observations),
         "setting": io.tpp_to_dict(setting), **option_echo})

@@ -25,10 +25,6 @@ class PointAtInfinity(PlenocalError):
 
 # --- projection / distortion ----------------------------------------------
 
-class NonInvertible(PlenocalError):
-    """Radial distortion profile cannot be inverted at the requested point."""
-
-
 class BehindPlane(PlenocalError):
     """Point lies on the lens plane; its projection is undefined."""
 

@@ -2,13 +2,14 @@
 
 All writers are atomic (temp file + rename) and deterministic: keys are
 sorted, floats use repr round-tripping, and nothing timestamp-like goes into
-the payloads, so identical inputs give byte-identical files.
+the payloads, so identical inputs give byte-identical files.  The large
+files (observations, centers) are written compactly, which lets ``json`` use
+its C encoder; the small ones are indented for reading.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import asdict
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationOutput, CalibrationResult
-from .projection import DistortionParams, Observation, Pose
+from .projection import DistortionParams, Observations, Pose
 from .rectification import MicroImageCenter, MlaMisalignmentSpec
 from .simulator import BoardSpec, PhysicalCameraSpec
 from .tpp import TppParams
@@ -28,6 +29,10 @@ METRICS_SCHEMA = "plenocal.metrics/1"
 RECTIFICATION_SCHEMA = "plenocal.rectification/1"
 CENTERS_SCHEMA = "plenocal.centers/1"
 
+# ingest rejects a pixel farther outside the sensor than this many sensor
+# widths (x) or heights (y)
+SENSOR_MARGIN = 1.0
+
 
 def atomic_write_text(path, text: str) -> None:
     path = Path(path)
@@ -36,8 +41,9 @@ def atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def dump_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def dump_json(path, payload: dict, *, compact: bool = False) -> None:
+    layout = {"separators": (",", ":")} if compact else {"indent": 2}
+    atomic_write_text(path, json.dumps(payload, sort_keys=True, **layout) + "\n")
 
 
 def load_json(path) -> dict:
@@ -110,35 +116,33 @@ def mla_to_dict(mla: MlaMisalignmentSpec) -> dict:
 
 # --- observation files -------------------------------------------------------
 
-def write_observations(path, observations: list[Observation], *, board_rows: int,
+def write_observations(path, observations: Observations, *, board_rows: int,
                        board_cols: int, cell_mm, pixel_pitch_mm: float,
                        sensor_px) -> None:
-    poses: dict[int, list[Observation]] = {}
-    for o in observations:
-        poses.setdefault(o.pose_id, []).append(o)
+    records = [{"point_id": k, "lens": ij, "pixel": xy} for k, ij, xy in
+               zip(observations.point.tolist(), observations.lens.tolist(),
+                   observations.pixel.tolist())]
+    pose_ids, starts = np.unique(observations.pose, return_index=True)
+    bounds = np.append(starts, len(observations)).tolist()
     payload = {
         "schema": OBSERVATIONS_SCHEMA,
         "board": {"rows": board_rows, "cols": board_cols,
                   "cell_mm": [float(cell_mm[0]), float(cell_mm[1])]},
         "pixel_pitch_mm": float(pixel_pitch_mm),
         "sensor_px": [int(sensor_px[0]), int(sensor_px[1])],
-        "poses": [
-            {"id": pid,
-             "observations": [
-                 {"point_id": o.point_id, "lens": [o.lens_i, o.lens_j],
-                  "pixel": [o.px, o.py]}
-                 for o in sorted(poses[pid],
-                                 key=lambda o: (o.point_id, o.lens_i, o.lens_j))]}
-            for pid in sorted(poses)],
+        "poses": [{"id": pid, "observations": records[a:b]}
+                  for pid, a, b in zip(pose_ids.tolist(), bounds, bounds[1:])],
     }
-    dump_json(path, payload)
+    dump_json(path, payload, compact=True)
 
 
 def read_observations(path):
     """Returns (observations, board_points_px dict, meta dict).
 
-    Raises ValueError on a non-finite pixel or on a (pose, point, lens)
-    record that appears more than once.
+    Raises ValueError on a non-finite pixel, on a (pose, point, lens) record
+    that appears more than once, on a point id off the board, and, when the
+    file states a non-zero ``sensor_px``, on a pixel more than
+    ``SENSOR_MARGIN`` sensor widths or heights outside the sensor.
     """
     payload = load_json(path)
     if payload.get("schema") != OBSERVATIONS_SCHEMA:
@@ -146,29 +150,53 @@ def read_observations(path):
     board = payload["board"]
     pitch = float(payload["pixel_pitch_mm"])
     cell = board["cell_mm"]
-    points = {}
-    for r in range(int(board["rows"])):
-        for c in range(int(board["cols"])):
-            points[r * int(board["cols"]) + c] = np.array(
-                [c * cell[0] / pitch, r * cell[1] / pitch])
-    observations = []
-    seen = set()
-    for pose in payload["poses"]:
-        pid = int(pose["id"])
-        for rec in pose["observations"]:
-            o = Observation(
-                pid, int(rec["point_id"]), int(rec["lens"][0]), int(rec["lens"][1]),
-                float(rec["pixel"][0]), float(rec["pixel"][1]))
-            key = (o.pose_id, o.point_id, o.lens_i, o.lens_j)
-            if not (math.isfinite(o.px) and math.isfinite(o.py)):
-                raise ValueError(f"{path}: non-finite pixel for (pose, point, lens) {key}")
-            if key in seen:
-                raise ValueError(f"{path}: repeated (pose, point, lens) record {key}")
-            seen.add(key)
-            observations.append(o)
-    meta = {"board": board, "pixel_pitch_mm": pitch,
-            "sensor_px": tuple(payload.get("sensor_px", (0, 0)))}
+    rows, cols = int(board["rows"]), int(board["cols"])
+    points = {r * cols + c: np.array([c * cell[0] / pitch, r * cell[1] / pitch])
+              for r in range(rows) for c in range(cols)}
+    poses = payload["poses"]
+    records = [rec for pose in poses for rec in pose["observations"]]
+    observations = Observations(
+        np.repeat(np.array([int(pose["id"]) for pose in poses], dtype=np.int64),
+                  [len(pose["observations"]) for pose in poses]),
+        [rec["point_id"] for rec in records],
+        np.array([rec["lens"] for rec in records], dtype=np.int64).reshape(-1, 2),
+        np.array([rec["pixel"] for rec in records], dtype=float).reshape(-1, 2))
+    sensor_px = tuple(payload.get("sensor_px", (0, 0)))
+    _check_records(path, observations, rows * cols, sensor_px)
+    meta = {"board": board, "pixel_pitch_mm": pitch, "sensor_px": sensor_px}
     return observations, points, meta
+
+
+def _check_records(path, obs: Observations, n_points: int, sensor_px) -> None:
+    """Raise ValueError naming the first (pose, point, lens) record of the
+    sorted table that breaks an ingest rule of ``read_observations``."""
+    def key(row: int) -> tuple:
+        return (int(obs.pose[row]), int(obs.point[row]),
+                int(obs.lens[row, 0]), int(obs.lens[row, 1]))
+
+    bad = ~np.isfinite(obs.pixel).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"{path}: non-finite pixel for (pose, point, lens) {key(np.argmax(bad))}")
+    same = ((obs.pose[1:] == obs.pose[:-1]) & (obs.point[1:] == obs.point[:-1])
+            & (obs.lens[1:] == obs.lens[:-1]).all(axis=1))
+    if same.any():
+        raise ValueError(
+            f"{path}: repeated (pose, point, lens) record {key(np.argmax(same))}")
+    bad = (obs.point < 0) | (obs.point >= n_points)
+    if bad.any():
+        raise ValueError(f"{path}: (pose, point, lens) record {key(np.argmax(bad))} "
+                         f"names a point off the {n_points}-point board")
+    size = np.array(sensor_px, dtype=float)
+    if size.shape == (2,) and np.all(size > 0):
+        margin = SENSOR_MARGIN * size
+        bad = ((obs.pixel < -margin) | (obs.pixel > size + margin)).any(axis=1)
+        if bad.any():
+            row = np.argmax(bad)
+            raise ValueError(
+                f"{path}: pixel {tuple(obs.pixel[row].tolist())} of (pose, point, lens) "
+                f"{key(row)} lies more than {SENSOR_MARGIN:g} sensor width or height "
+                f"outside the {int(size[0])}x{int(size[1])} sensor")
 
 
 # --- ground truth sidecar -------------------------------------------------------
@@ -248,11 +276,13 @@ def read_report(path) -> dict:
     return payload
 
 
-def write_residual_csv(path, observations: list[Observation],
+def write_residual_csv(path, observations: Observations,
                        residuals: np.ndarray) -> None:
+    """One line per observation, in table order; floats in repr form."""
     lines = ["pose_id,point_id,i,j,dx,dy"]
-    for o, (dx, dy) in zip(observations, residuals):
-        lines.append(f"{o.pose_id},{o.point_id},{o.lens_i},{o.lens_j},{dx!r},{dy!r}")
+    lines += [f"{p},{k},{i},{j},{dx!r},{dy!r}" for p, k, (i, j), (dx, dy) in
+              zip(observations.pose.tolist(), observations.point.tolist(),
+                  observations.lens.tolist(), np.asarray(residuals).tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -263,7 +293,7 @@ def write_centers(path, centers: list[MicroImageCenter]) -> None:
         "schema": CENTERS_SCHEMA,
         "centers": [{"label": [c.i, c.j], "pixel": [c.x, c.y]} for c in centers],
     }
-    dump_json(path, payload)
+    dump_json(path, payload, compact=True)
 
 
 def read_centers(path) -> list[MicroImageCenter]:

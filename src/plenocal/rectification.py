@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -21,7 +21,7 @@ from scipy.spatial import cKDTree
 
 from .errors import (AmbiguousPitch, DegenerateConfiguration, DegenerateGeometry,
                      NoGridFound, PointAtInfinity, TooFewCenters)
-from .projection import Observation
+from .projection import Observations
 from .rotation import rodrigues_matrix
 
 _PEAK_FRACTION = 0.2          # local maxima below this fraction of peak are noise
@@ -379,19 +379,12 @@ def apply_homography(points: np.ndarray, H: np.ndarray) -> np.ndarray:
     return hom[:, :2] / hom[:, 2:3]
 
 
-def rectify_observations(observations, H: np.ndarray) -> list[Observation]:
+def rectify_observations(observations: Observations, H: np.ndarray) -> Observations:
     """Map observation pixel coordinates through the rectifying homography.
 
     Lens labels are preserved; only the pixel coordinates change.
     """
-    obs = list(observations)
-    if not obs:
-        return []
-    pixels = np.array([(o.px, o.py) for o in obs])
-    mapped = apply_homography(pixels, H)
-    return [Observation(o.pose_id, o.point_id, o.lens_i, o.lens_j,
-                        float(x), float(y))
-            for o, (x, y) in zip(obs, mapped)]
+    return replace(observations, pixel=apply_homography(observations.pixel, H))
 
 
 def rectify_centers(centers: list[MicroImageCenter], H: np.ndarray

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BehindPlane, EnvelopeInfeasible, FocalSingularity
-from .projection import DistortionParams, Observation, Pose, ProjectionBatch, project_pixels
+from .projection import (DistortionParams, Observations, Pose, ProjectionBatch,
+                         project_pixels)
 from .rectification import MlaMisalignmentSpec, lens_positions, project_centers
 from .tpp import TppParams
 
@@ -310,10 +311,10 @@ def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarr
         labels = np.column_stack([gi.ravel(), gj.ravel()])
 
         if mla is None:
+            # one site, the point itself, seen through every candidate lens
             batch = ProjectionBatch(
-                points_w=np.broadcast_to(X, (len(labels), 3)).copy(),
-                lenses=labels.astype(float),
-                pose_index=np.zeros(len(labels), dtype=int),
+                points_w=X, site_pose=[0], labels=labels,
+                site=np.zeros(len(labels), dtype=int), lens=np.arange(len(labels)),
                 rvecs=np.zeros((1, 3)), tvecs=np.zeros((1, 3)))
             pixels = project_pixels(batch, tpp, dist)
             centers = a_c * labels + b_c
@@ -387,12 +388,12 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
                             poses: list[Pose], dist: DistortionParams,
                             noise_sigma: float, seed: int,
                             misalignment: MlaMisalignmentSpec | None = None
-                            ) -> list[Observation]:
+                            ) -> Observations:
     """Emit one observation per (pose, board point, observing micro-lens).
 
     Pixels come from the ground-truth scene-side TPP model (or a physical
     trace through the misaligned MLA); i.i.d. Gaussian noise of the given
-    sigma is added afterwards, deterministically per seed.
+    sigma is added afterwards in table order, deterministically per seed.
     """
     if misalignment is not None and any(
             getattr(dist, k) != 0.0 for k in ("s1", "s2", "t1", "t2")):
@@ -401,26 +402,25 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
     frame = exterior_frame(spec) if misalignment is not None else None
     pts_w = np.column_stack([board.points_mm() / spec.pixel_pitch,
                              np.zeros(board.rows * board.cols)])
-    observations: list[Observation] = []
+    # per (pose, point): ids, then that point's lens labels and pixels
+    ids, lenses, pixels = [], [np.empty((0, 2), int)], [np.empty((0, 2))]
     for pose_id, pose in enumerate(poses):
         pts_c = pose.apply(pts_w)
         seen = _observe_points(spec, tpp, pts_c, dist, misalignment, frame)
-        for point_id, (labels, pixels) in enumerate(seen):
-            order = np.lexsort((labels[:, 1], labels[:, 0]))
-            for k in order:
-                observations.append(Observation(
-                    pose_id, point_id, int(labels[k, 0]), int(labels[k, 1]),
-                    float(pixels[k, 0]), float(pixels[k, 1])))
-    if not observations:
+        for point_id, (labels, px) in enumerate(seen):
+            ids.append((pose_id, point_id, len(labels)))
+            lenses.append(labels)
+            pixels.append(px)
+    pose_ids, point_ids, counts = np.array(ids, dtype=np.int64).reshape(-1, 3).T
+    observations = Observations(np.repeat(pose_ids, counts),
+                                np.repeat(point_ids, counts),
+                                np.concatenate(lenses), np.concatenate(pixels))
+    if len(observations) == 0:
         logger.warning("synthesized zero observations for %d poses", len(poses))
-        return observations
-    if noise_sigma > 0.0:
+    elif noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         noise = rng.normal(0.0, noise_sigma, size=(len(observations), 2))
-        observations = [
-            Observation(o.pose_id, o.point_id, o.lens_i, o.lens_j,
-                        o.px + dx, o.py + dy)
-            for o, (dx, dy) in zip(observations, noise)]
+        observations = replace(observations, pixel=observations.pixel + noise)
     return observations
 
 

@@ -137,7 +137,7 @@ def test_criterion_4_pose_count_trend(camera, board, board_points, setting,
         obs = sim.synthesize_observations(camera, board, poses,
                                           DistortionParams(), 0.3, 4000 + seed)
         for n in errs:
-            subset = [o for o in obs if o.pose_id < n]
+            subset = obs[obs.pose < n]
             out = calibrate(subset, board_points, setting, opts)
             errs[n].append(mean_intrinsic_error(out.refined.tpp, tpp_truth))
     medians = {n: float(np.median(v)) for n, v in errs.items()}

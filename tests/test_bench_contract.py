@@ -76,3 +76,13 @@ def test_rectify_calls_detect_centers_through_the_cli_module(
                      "--pitch", str(pitch), "--out", str(tmp_path / "rect")]) == 0
     detected = io.load_json(tmp_path / "rect" / "rectification.json")
     assert counts == [detected["centers_detected"]]
+
+
+def test_synthesize_observations_len_is_row_count(camera, board, poses12,
+                                                  noisy_observations):
+    # the tracer's simulator.observations and calibration.refine.jacobian_rows
+    # take len() of the observations the simulator returns
+    assert len(noisy_observations) == noisy_observations.pixel.shape[0] > 0
+    few = simulator.synthesize_observations(camera, board, poses12[:1],
+                                            simulator.DistortionParams(), 0.0, 1)
+    assert 0 < len(few) < len(noisy_observations)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_projection import densify
+from test_projection import densify, tilted_distortion
 
 from plenocal import simulator as sim
 from plenocal.calibration import (CalibrationResult, RefineOptions,
@@ -194,6 +194,15 @@ class TestClosedForm:
         errs = intrinsic_errors(result.tpp, tpp_truth)
         assert max(errs.values()) < 1e-6
 
+    def test_pose_ids_with_a_gap(self, clean_observations, board_points, setting,
+                                 tpp_truth, poses12):
+        # poses are matched to their ids, not to their positions
+        obs = clean_observations[clean_observations.pose != 1]
+        result, _ = linear_calibrate(obs, board_points, setting)
+        assert result.rms < 1e-6
+        errs = pose_errors(result.poses, [p for k, p in enumerate(poses12) if k != 1])
+        assert max(e["rotation_rad"] for e in errs) < 1e-6
+
     def test_negative_discriminant(self, gauge_setup, setting, poses12):
         _, P = gauge_setup
         hs = [synthetic_homography(P, pose) for pose in poses12]
@@ -297,13 +306,10 @@ class TestRefine:
     def test_schur_step_matches_dense_step(self, noisy_observations, board_points,
                                            poses12, tpp_truth, centers, frozen):
         # one LM step on the reduced system equals the dense damped solve
-        batch, observed, _, _ = observation_batch(noisy_observations[::25],
-                                                  board_points, list(poses12))
+        obs = noisy_observations[::25]
+        batch = observation_batch(obs, board_points, list(poses12))
         n_poses = batch.rvecs.shape[0]
-        # about 1 % radial distortion on both planes at the working radii
-        dist = DistortionParams(1e-9, -1e-17, 1e-10, -1e-18,
-                                tpp_truth.k_x * 2000.0, tpp_truth.k_x * 1340.0,
-                                tpp_truth.u_0 + 5.0, tpp_truth.v_0 - 3.0)
+        dist = tilted_distortion(tpp_truth)
         pixels, J_intr, J_pose = project_pixels(batch, tpp_truth, dist, jacobian=True,
                                                 optimize_centers=centers)
         J_intr = -np.delete(J_intr, frozen, axis=2)
@@ -315,7 +321,7 @@ class TestRefine:
         J /= col
         J_intr /= col[:m]
         J_pose /= col[m:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
-        r = (observed - pixels).reshape(-1)
+        r = (obs.pixel - pixels).reshape(-1)
         eq = _NormalEquations.from_blocks(
             J_intr, J_pose, r, np.searchsorted(batch.pose_index, np.arange(n_poses + 1)))
         A, g = J.T @ J, J.T @ r

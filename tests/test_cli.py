@@ -98,6 +98,18 @@ class TestCalibrate:
         header = (out / "residuals.csv").read_text().splitlines()[0]
         assert header == "pose_id,point_id,i,j,dx,dy"
 
+    def test_residual_csv_rows(self, sim_dir, tmp_path):
+        # one numeric row per observation, in table order, matching the
+        # refined RMS of the report
+        out = tmp_path / "cal"
+        assert run("calibrate", sim_dir / "observations.json", "--out", out) == 0
+        obs, _, _ = io.read_observations(sim_dir / "observations.json")
+        table = np.loadtxt(out / "residuals.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(table[:, :4],
+                                      np.column_stack([obs.pose, obs.point, obs.lens]))
+        rms = np.sqrt(np.mean(table[:, 4:] ** 2))
+        assert rms == io.read_report(out / "report.json")["refined"]["rms_px"]
+
     def test_default_setting_heuristic(self, sim_dir, tmp_path):
         out = tmp_path / "cal"
         assert run("calibrate", sim_dir / "observations.json", "--out", out) == 0
@@ -111,8 +123,10 @@ class TestCalibrate:
                    "--out", tmp_path / "cal2") == 4
 
     def test_overflowing_pixel_exit_4(self, sim_dir, tmp_path):
-        # finite but huge: ingest accepts it, the ray normalization overflows
+        # finite but huge in a file that states no sensor size: ingest accepts
+        # it, the ray normalization overflows
         def huge_pixel(payload):
+            payload["sensor_px"] = [0, 0]
             payload["poses"][0]["observations"][0]["pixel"][0] = 1e300
         obs = tampered_observations(sim_dir, tmp_path, huge_pixel)
         setting_path = tmp_path / "setting.json"
@@ -177,6 +191,36 @@ class TestIngestValidation:
         assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
                    "--out", tmp_path / "rect") == 2
         assert "repeated (pose, point, lens)" in caplog.text
+
+    @pytest.mark.parametrize("x, y", [(1e300, 10.0), (10.0, -1351.0), (4001.0, 10.0)],
+                             ids=["huge-x", "below-sensor", "right-of-sensor"])
+    def test_pixel_far_outside_sensor_exit_2(self, sim_dir, tmp_path, caplog, x, y):
+        # the file states a 2000 x 1350 sensor; one sensor width or height of
+        # margin is allowed on every side
+        def far_pixel(payload):
+            payload["poses"][1]["observations"][2]["pixel"] = [x, y]
+        obs = tampered_observations(sim_dir, tmp_path, far_pixel)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
+                   "--out", tmp_path / "rect") == 2
+        assert "outside the 2000x1350 sensor" in caplog.text
+        assert "(pose, point, lens) (1, " in caplog.text
+
+    def test_pixel_within_sensor_margin_accepted(self, sim_dir, tmp_path):
+        def near_pixels(payload):
+            records = payload["poses"][1]["observations"]
+            records[2]["pixel"] = [-2000.0, 2700.0]
+            records[3]["pixel"] = [4000.0, -1350.0]
+        obs, _, _ = io.read_observations(
+            tampered_observations(sim_dir, tmp_path, near_pixels))
+        assert len(obs) > 0
+
+    def test_point_off_board_exit_2(self, sim_dir, tmp_path, caplog):
+        def off_board(payload):
+            payload["poses"][0]["observations"][0]["point_id"] = 25
+        obs = tampered_observations(sim_dir, tmp_path, off_board)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert "off the 25-point board" in caplog.text
 
     @pytest.mark.parametrize("edit, command", [
         (no_poses, "calibrate"), (no_poses, "rectify"), (single_lens, "rectify")],

@@ -1,71 +1,126 @@
-"""Distortion, forward projection, residuals, and the analytic Jacobian."""
+"""Observation table, forward projection, residuals, and the analytic Jacobian."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from plenocal.errors import BehindPlane, MissingReference, NonInvertible
-from plenocal.projection import (DistortionParams, Observation, Pose,
-                                 ProjectionBatch, _rigid_motion, apply_distortion,
-                                 observation_batch, project_pixels, residuals,
-                                 sort_observations, undistort)
-from plenocal.rotation import rodrigues_matrix, rotate_points_jacobian
+from plenocal import io
+from plenocal.errors import BehindPlane, MissingReference
+from plenocal.projection import (INTRINSIC_NAMES, DistortionParams, Observations,
+                                 Pose, ProjectionBatch, _distort_jacobian,
+                                 _radial_factors, observation_batch, project_pixels,
+                                 residuals)
+from plenocal.rotation import (rodrigues_matrices, rodrigues_matrix,
+                               rotate_points_jacobian, rotation_basis_jacobians)
 from plenocal.tpp import TppParams, decode_virtual_rays, incidence_matrix
+
+
+def row_batch(points_w, lenses, pose_index, rvecs, tvecs):
+    """An unfactored batch: every observation its own site and lens."""
+    n = len(np.atleast_2d(points_w))
+    return ProjectionBatch(points_w, pose_index, lenses, np.arange(n), np.arange(n),
+                           rvecs, tvecs)
+
+
+def project_pixels_reference(batch, tpp, dist, *, jacobian=False,
+                             optimize_centers=False):
+    """The unfactored projection, one row at a time through every stage and
+    with per-pose rotations: the reference for ``project_pixels``."""
+    points_w, lenses, idx = batch.points_w[batch.site], batch.lenses, batch.pose_index
+    n = len(idx)
+    k_xy, k_uv, f = tpp.k_x, tpp.k_u, tpp.f
+    R = np.stack([rodrigues_matrix(r) for r in batch.rvecs])
+    Xc = np.einsum("nab,nb->na", R[idx], points_w) + batch.tvecs[idx]
+    uv_hat = np.column_stack([k_uv * lenses[:, 0] + tpp.u_0,
+                              k_uv * lenses[:, 1] + tpp.v_0])
+    d_uv, r2_uv, g_uv, gp_uv = _radial_factors(uv_hat, (dist.u_c, dist.v_c),
+                                               dist.t1, dist.t2)
+    uv_d = d_uv * g_uv[:, None] + np.array([dist.u_c, dist.v_c])
+    denom = Xc[:, 2] - f
+    xy_hat = (uv_d * Xc[:, 2:3] - f * Xc[:, :2]) / denom[:, None]
+    d_xy, r2_xy, g_xy, gp_xy = _radial_factors(xy_hat, (dist.x_c, dist.y_c),
+                                               dist.s1, dist.s2)
+    pixels = (d_xy * g_xy[:, None] + np.array([dist.x_c, dist.y_c])) / k_xy
+    if not jacobian:
+        return pixels
+    G = np.stack([rotate_points_jacobian(r, np.eye(3)) for r in batch.rvecs])
+    rot_jac = np.einsum("nb,nbac->nac", points_w, G[idx])
+    E = _distort_jacobian(d_xy, g_xy, gp_xy)
+    C = _distort_jacobian(d_uv, g_uv, gp_uv)
+    duv = Xc[:, 2] / denom
+    Dxc = np.zeros((n, 2, 3))
+    Dxc[:, 0, 0] = Dxc[:, 1, 1] = -f / denom
+    Dxc[:, :, 2] = f * (Xc[:, :2] - uv_d) / denom[:, None]**2
+    df_hat = Xc[:, 2:3] * (uv_d - Xc[:, :2]) / denom[:, None]**2
+    E_duv = E * duv[:, None, None]
+    T_uv = E_duv @ C
+    T_xc = E @ Dxc
+    J_intr = np.empty((n, 2, len(INTRINSIC_NAMES) + (4 if optimize_centers else 0)))
+    J_intr[:, :, 0] = -pixels
+    J_intr[:, :, 1] = np.einsum("nij,nj->ni", T_uv, lenses)
+    J_intr[:, :, 2:4] = T_uv
+    J_intr[:, :, 4] = np.einsum("nij,nj->ni", E, df_hat)
+    J_intr[:, :, 5] = d_xy * r2_xy[:, None]
+    J_intr[:, :, 6] = d_xy * (r2_xy**2)[:, None]
+    J_intr[:, :, 7] = np.einsum("nij,nj->ni", E_duv, d_uv * r2_uv[:, None])
+    J_intr[:, :, 8] = np.einsum("nij,nj->ni", E_duv, d_uv * (r2_uv**2)[:, None])
+    if optimize_centers:
+        J_intr[:, :, 9:11] = np.eye(2) - E
+        J_intr[:, :, 11:13] = E_duv @ (np.eye(2) - C)
+    J_pose = np.concatenate([T_xc @ rot_jac, T_xc], axis=2)
+    return pixels, J_intr / k_xy, J_pose / k_xy
 
 
 class TestDistortion:
     def test_zero_coefficients_identity(self):
         rng = np.random.default_rng(0)
-        pts = rng.normal(size=(50, 2)) * 100
-        out = apply_distortion(pts, (13.0, -4.0), (0.0, 0.0))
-        np.testing.assert_array_equal(out, pts)
+        batch, tpp, _ = random_configuration(0, False)
+        centers = rng.normal(size=4) * 100
+        plain = project_pixels(batch, tpp, DistortionParams())
+        moved = project_pixels(batch, tpp, DistortionParams(0.0, 0.0, 0.0, 0.0, *centers))
+        np.testing.assert_allclose(moved, plain, rtol=1e-12)
 
     def test_direct_evaluation(self):
-        out = apply_distortion((100.0, 0.0), (0.0, 0.0), (1e-6, 0.0))
-        np.testing.assert_allclose(out, (101.0, 0.0))
+        # a point on the axis at twice the separation, seen under lens (0, 0)
+        # at u-v point (50, 0), lands at x-y point (100, 0); s1 = 1e-6 moves
+        # it to 100 (1 + 1e-6 100^2) = 101
+        tpp = TppParams.isotropic(1.0, 30.0, 50.0, 0.0, 400.0)
+        batch = row_batch([0.0, 0.0, 2.0 * tpp.f], [0, 0], [0], np.zeros(3), np.zeros(3))
+        out = project_pixels(batch, tpp, DistortionParams(s1=1e-6))
+        np.testing.assert_allclose(out[0], (101.0, 0.0))
 
-    def test_undistort_zero_identity(self):
-        pts = np.array([[3.0, 4.0], [-10.0, 2.0]])
-        np.testing.assert_allclose(undistort(pts, (1.0, 1.0), (0.0, 0.0)), pts)
 
-    def test_undistort_forward_example(self):
-        out = undistort((101.0, 0.0), (0.0, 0.0), (1e-6, 0.0))
-        np.testing.assert_allclose(out, (100.0, 0.0), atol=1e-9)
+class TestObservations:
+    def test_rows_sorted(self):
+        obs = Observations(pose=[1, 0, 0, 0], point=[0, 2, 2, 1],
+                           lens=[(0, 0), (1, 0), (0, 5), (9, 9)],
+                           pixel=[(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)])
+        keys = list(zip(obs.pose.tolist(), obs.point.tolist(),
+                        *obs.lens.T.tolist()))
+        assert keys == [(0, 1, 9, 9), (0, 2, 0, 5), (0, 2, 1, 0), (1, 0, 0, 0)]
+        # the pixels travel with their rows
+        np.testing.assert_array_equal(obs.pixel[:, 0], [4.0, 3.0, 2.0, 1.0])
 
-    def test_round_trip_moderate_regime(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            center = rng.normal(size=2) * 10
-            r = rng.uniform(10, 100)
-            d1 = rng.uniform(-0.09, 0.09) / r**2     # keeps |d1 r^2| < 0.1
-            d2 = rng.uniform(-0.3, 0.3) * abs(d1) / r**2
-            pts = center + rng.normal(size=(20, 2)) * (r / 2)
-            distorted = apply_distortion(pts, center, (d1, d2))
-            back = undistort(distorted, center, (d1, d2))
-            assert np.abs(back - pts).max() < 1e-9 * (1 + np.abs(pts).max())
+    def test_len_is_record_count(self, noisy_observations):
+        n = len(noisy_observations)
+        assert n == len(noisy_observations.pixel) > 0
+        assert len(noisy_observations[::25]) == len(range(0, n, 25))
+        assert len(Observations([], [], [], [])) == 0
 
-    def test_round_trip_property_sweep(self):
-        # points and coefficients drawn inside the monotone radial regime
-        rng = np.random.default_rng(2)
-        worst = 0.0
-        for _ in range(1000):
-            center = rng.normal(size=2)
-            r = rng.uniform(1, 50)
-            d1 = rng.uniform(-0.05, 0.05) / r**2
-            d2 = rng.uniform(-0.02, 0.02) / r**4
-            direction = rng.normal(size=2)
-            direction /= np.linalg.norm(direction)
-            p = center + direction * rng.uniform(0.0, r)
-            fwd = apply_distortion(p, center, (d1, d2))
-            back = undistort(fwd, center, (d1, d2))
-            worst = max(worst, float(np.abs(back - p).max()))
-        assert worst < 1e-8
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            Observations([0, 0], [0, 1], [(0, 0)], [(0.0, 0.0), (1.0, 1.0)])
 
-    def test_non_monotone_profile_rejected(self):
-        # r (1 - 1e-4 r^2) folds at r = 57.7; beyond the fold there is no root
-        with pytest.raises(NonInvertible):
-            undistort((50.0, 0.0), (0.0, 0.0), (-1e-4, 0.0))
+    def test_write_read_round_trip_bit_identical(self, tmp_path, camera, board,
+                                                 noisy_observations):
+        path = tmp_path / "observations.json"
+        io.write_observations(path, noisy_observations, board_rows=board.rows,
+                              board_cols=board.cols, cell_mm=board.cell,
+                              pixel_pitch_mm=camera.pixel_pitch,
+                              sensor_px=camera.sensor_resolution)
+        back, _, _ = io.read_observations(path)
+        assert back == noisy_observations
 
 
 @pytest.fixture()
@@ -76,8 +131,7 @@ def simple_camera():
 
 def project_one(point_w, pose, tpp, dist, lens):
     """Pixel of one world point under one labeled micro-lens."""
-    batch = ProjectionBatch(points_w=point_w, lenses=lens, pose_index=[0],
-                            rvecs=pose.rotation, tvecs=pose.translation)
+    batch = row_batch(point_w, lens, [0], pose.rotation, pose.translation)
     return project_pixels(batch, tpp, dist)[0]
 
 
@@ -114,11 +168,12 @@ class TestProjectPoint:
     def test_simulator_round_trip(self, camera, board_points, poses12,
                                   clean_observations, tpp_truth):
         # noise-free stored pixels match a fresh forward projection exactly
-        for o in clean_observations[::97]:
-            point = np.append(board_points[o.point_id], 0.0)
-            pixel = project_one(point, poses12[o.pose_id], tpp_truth,
-                                DistortionParams(), (o.lens_i, o.lens_j))
-            np.testing.assert_allclose(pixel, (o.px, o.py), atol=1e-9)
+        obs = clean_observations
+        for k in range(0, len(obs), 97):
+            point = np.append(board_points[int(obs.point[k])], 0.0)
+            pixel = project_one(point, poses12[int(obs.pose[k])], tpp_truth,
+                                DistortionParams(), obs.lens[k])
+            np.testing.assert_allclose(pixel, obs.pixel[k], atol=1e-9)
 
 
 class TestResiduals:
@@ -146,9 +201,11 @@ class TestResiduals:
 
     def test_order_is_deterministic(self, noisy_observations, board_points,
                                     poses12, tpp_truth):
-        rng = np.random.default_rng(0)
-        shuffled = list(noisy_observations)
-        rng.shuffle(shuffled)
+        # a table built from shuffled rows sorts them back
+        obs = noisy_observations
+        perm = np.random.default_rng(0).permutation(len(obs))
+        shuffled = Observations(obs.pose[perm], obs.point[perm], obs.lens[perm],
+                                obs.pixel[perm])
         r1, _ = residuals(noisy_observations, board_points, poses12, tpp_truth,
                           DistortionParams())
         r2, _ = residuals(shuffled, board_points, poses12, tpp_truth,
@@ -156,23 +213,26 @@ class TestResiduals:
         np.testing.assert_array_equal(r1, r2)
 
     def test_missing_pose_reference(self, board_points, tpp_truth):
-        obs = [Observation(5, 0, 0, 0, 1.0, 1.0)]
-        with pytest.raises(MissingReference):
+        obs = Observations([5], [0], [(0, 0)], [(1.0, 1.0)])
+        with pytest.raises(MissingReference, match="pose 5"):
             residuals(obs, board_points, [Pose(np.zeros(3), np.zeros(3))],
                       tpp_truth, DistortionParams())
 
     def test_missing_point_reference(self, tpp_truth):
-        obs = [Observation(0, 99, 0, 0, 1.0, 1.0)]
-        with pytest.raises(MissingReference):
+        obs = Observations([0], [99], [(0, 0)], [(1.0, 1.0)])
+        with pytest.raises(MissingReference, match="point 99"):
             residuals(obs, {0: np.zeros(2)}, [Pose(np.zeros(3), np.zeros(3))],
                       tpp_truth, DistortionParams())
 
-    def test_sort_key(self):
-        obs = [Observation(1, 0, 0, 0, 0, 0), Observation(0, 2, 1, 0, 0, 0),
-               Observation(0, 2, 0, 5, 0, 0), Observation(0, 1, 9, 9, 0, 0)]
-        ordered = sort_observations(obs)
-        keys = [(o.pose_id, o.point_id, o.lens_i, o.lens_j) for o in ordered]
-        assert keys == sorted(keys)
+    def test_sort_key(self, noisy_observations, board_points, poses12, tpp_truth):
+        # residual rows follow the table's (pose, point, lens) order
+        obs = noisy_observations[::7]
+        res, _ = residuals(obs, board_points, poses12, tpp_truth, DistortionParams())
+        for k in (0, len(obs) // 2, len(obs) - 1):
+            pred = project_one(np.append(board_points[int(obs.point[k])], 0.0),
+                               poses12[int(obs.pose[k])], tpp_truth,
+                               DistortionParams(), obs.lens[k])
+            np.testing.assert_allclose(res[k], obs.pixel[k] - pred, atol=1e-9)
 
 
 def random_configuration(seed, optimize_centers):
@@ -194,7 +254,7 @@ def random_configuration(seed, optimize_centers):
                            np.zeros(n)])
     lenses = rng.integers(-50, 50, size=(n, 2)).astype(float)
     idx = rng.integers(0, n_poses, n)
-    batch = ProjectionBatch(pts, lenses, idx, rvecs, tvecs)
+    batch = row_batch(pts, lenses, idx, rvecs, tvecs)
     centers = (rng.normal() * 100, rng.normal() * 100,
                rng.normal() * 100, rng.normal() * 100)
     undistorted = project_pixels(batch, tpp, DistortionParams(*(0.0,) * 4, *centers))
@@ -250,9 +310,7 @@ def jacobian_gap(seed, optimize_centers):
             d = DistortionParams(th[5], th[6], th[7], th[8],
                                  dist.x_c, dist.y_c, dist.u_c, dist.v_c)
         rv = th[base:].reshape(n_poses, 6)
-        b = ProjectionBatch(batch.points_w, batch.lenses, batch.pose_index,
-                            rv[:, :3], rv[:, 3:])
-        return project_pixels(b, t, d)
+        return project_pixels(replace(batch, rvecs=rv[:, :3], tvecs=rv[:, 3:]), t, d)
 
     r_uv = np.sqrt(np.mean((tpp.k_u * batch.lenses[:, 0] + tpp.u_0 - dist.u_c)**2
                            + (tpp.k_u * batch.lenses[:, 1] + tpp.v_0 - dist.v_c)**2))
@@ -292,31 +350,61 @@ def test_jacobian_matches_finite_differences(optimize_centers):
 
 
 def test_rigid_motion_matches_per_pose_rotation():
-    """The gathered rigid motion and sum_b p_b G(e_b) agree with each pose's
-    own rotation and rotate_points_jacobian; pose 0 takes the small-angle
-    branch, and the points leave the board plane so every basis term counts."""
+    """The rotations and basis derivatives of all poses at once equal each
+    pose's own, bit for bit, and sum_b p_b G(e_b) gives the derivative at any
+    point; pose 0 takes the small-angle branch, and the points leave the
+    board plane so every basis term counts."""
     rng = np.random.default_rng(6)
     n_poses, n = 4, 200
     rvecs = rng.normal(size=(n_poses, 3)) * 0.5
     rvecs[0] = rng.normal(size=3) * 1e-12
-    tvecs = rng.normal(size=(n_poses, 3)) * 1e3
     pts = rng.normal(size=(n, 3)) * 1e4
-    idx = np.sort(rng.integers(0, n_poses, n))
-    batch = ProjectionBatch(pts, np.zeros((n, 2)), idx, rvecs, tvecs)
-    Xc, rot_jac = _rigid_motion(batch, True)
+    R, G = rodrigues_matrices(rvecs), rotation_basis_jacobians(rvecs)
     for p in range(n_poses):
-        sel = idx == p
-        ref = rotate_points_jacobian(rvecs[p], pts[sel])
-        assert np.abs(rot_jac[sel] - ref).max() <= 1e-14 * np.abs(ref).max()
-        ref = pts[sel] @ rodrigues_matrix(rvecs[p]).T + tvecs[p]
-        assert np.abs(Xc[sel] - ref).max() <= 1e-14 * np.abs(ref).max()
+        np.testing.assert_array_equal(R[p], rodrigues_matrix(rvecs[p]))
+        np.testing.assert_array_equal(G[p], rotate_points_jacobian(rvecs[p], np.eye(3)))
+        ref = rotate_points_jacobian(rvecs[p], pts)
+        got = np.einsum("nb,bac->nac", pts, G[p])
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_observation_batch_layout(noisy_observations, board_points, poses12):
-    batch, observed, pose_ids, ordered = observation_batch(
-        noisy_observations, board_points, dict(enumerate(poses12)))
-    assert pose_ids == sorted({o.pose_id for o in noisy_observations})
-    assert observed.shape == (len(noisy_observations), 2)
-    assert batch.points_w.shape == observed.shape[:1] + (3,)
-    keys = [(o.pose_id, o.point_id, o.lens_i, o.lens_j) for o in ordered]
-    assert keys == sorted(keys)
+    obs = noisy_observations
+    batch = observation_batch(obs, board_points, dict(enumerate(poses12)))
+    sites = np.unique(np.column_stack([obs.pose, obs.point]), axis=0)
+    assert batch.points_w.shape == (len(sites), 3)
+    np.testing.assert_array_equal(batch.site_pose, sites[:, 0])
+    np.testing.assert_array_equal(batch.points_w[:, :2],
+                                  [board_points[k] for k in sites[:, 1]])
+    assert len(batch.labels) == len(np.unique(obs.lens, axis=0)) < len(obs)
+    # gathered back to rows, the factored layout is the table
+    np.testing.assert_array_equal(batch.pose_index, obs.pose)
+    np.testing.assert_array_equal(batch.lenses, obs.lens)
+    np.testing.assert_array_equal(batch.points_w[batch.site, :2],
+                                  [board_points[k] for k in obs.point])
+
+
+def tilted_distortion(tpp):
+    """About 1 % radial distortion on both planes at the working radii, with
+    centers off the axes."""
+    return DistortionParams(1e-9, -1e-17, 1e-10, -1e-18,
+                            tpp.k_x * 2000.0, tpp.k_x * 1340.0,
+                            tpp.u_0 + 5.0, tpp.v_0 - 3.0)
+
+
+@pytest.mark.parametrize("dataset", ["clean_observations", "noisy_observations"])
+@pytest.mark.parametrize("optimize_centers", [False, True], ids=["9-columns", "13-columns"])
+def test_factored_projection_matches_reference(request, dataset, optimize_centers,
+                                               board_points, poses12, tpp_truth):
+    obs = request.getfixturevalue(dataset)
+    batch = observation_batch(obs, board_points, list(poses12))
+    for dist in (DistortionParams(), tilted_distortion(tpp_truth)):
+        got = project_pixels(batch, tpp_truth, dist, jacobian=True,
+                             optimize_centers=optimize_centers)
+        ref = project_pixels_reference(batch, tpp_truth, dist, jacobian=True,
+                                       optimize_centers=optimize_centers)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape
+            assert np.abs(g - r).max() <= 1e-12 * np.abs(r).max()
+        np.testing.assert_allclose(project_pixels(batch, tpp_truth, dist), got[0],
+                                   rtol=1e-12)

@@ -12,7 +12,7 @@ from plenocal import rectification
 from plenocal import simulator as sim
 from plenocal.errors import (AmbiguousPitch, DegenerateGeometry, NoGridFound,
                              PointAtInfinity, TooFewCenters)
-from plenocal.projection import Observation
+from plenocal.projection import Observations
 from plenocal.rectification import (MicroImageCenter, MlaMisalignmentSpec,
                                     apply_homography, detect_centers,
                                     estimate_rectifying_homography,
@@ -421,22 +421,23 @@ class TestDetectCentersMatchesReference:
 
 class TestRectifyObservations:
     def test_identity(self):
-        obs = [Observation(0, 1, 2, 3, 10.5, -4.0)]
-        out = rectify_observations(obs, np.eye(3))
-        assert out[0] == obs[0]
+        obs = Observations([0], [1], [(2, 3)], [(10.5, -4.0)])
+        assert rectify_observations(obs, np.eye(3)) == obs
 
     def test_pure_translation(self):
-        obs = [Observation(0, k, 0, 0, float(k), 2.0 * k) for k in range(5)]
+        k = np.arange(5)
+        obs = Observations(np.zeros(5), k, np.column_stack([k, -k]),
+                           np.column_stack([k, 2.0 * k]))
         H = np.array([[1.0, 0, 7.5], [0, 1.0, -2.5], [0, 0, 1.0]])
         out = rectify_observations(obs, H)
-        for a, b in zip(obs, out):
-            assert (b.px - a.px, b.py - a.py) == (7.5, -2.5)
-            assert (b.lens_i, b.lens_j) == (a.lens_i, a.lens_j)
+        np.testing.assert_array_equal(out.pixel - obs.pixel, [[7.5, -2.5]] * 5)
+        for column in ("pose", "point", "lens"):
+            np.testing.assert_array_equal(getattr(out, column), getattr(obs, column))
 
     def test_point_at_infinity(self):
         H = np.array([[1.0, 0, 0], [0, 1.0, 0], [-0.01, 0, 1.0]])
         with pytest.raises(PointAtInfinity):
-            rectify_observations([Observation(0, 0, 0, 0, 100.0, 0.0)], H)
+            rectify_observations(Observations([0], [0], [(0, 0)], [(100.0, 0.0)]), H)
 
 
 class TestPgm:

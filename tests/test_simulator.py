@@ -92,7 +92,7 @@ class TestGeneratePoses:
             assert np.linalg.norm(p.rotation) <= np.radians(40.0) + 1e-12
 
     def test_multiplicity_at_least_twelve(self, clean_observations):
-        keys = np.array([(o.pose_id, o.point_id) for o in clean_observations])
+        keys = np.column_stack([clean_observations.pose, clean_observations.point])
         _, counts = np.unique(keys, axis=0, return_counts=True)
         assert np.median(counts) >= 12
 
@@ -140,10 +140,9 @@ class TestSynthesize:
                                         DistortionParams(), 0.0, 1,
                                         misalignment=sim.aligned_mla(camera))
         assert len(a) == len(b)
-        for oa, ob in zip(a, b):
-            assert (oa.pose_id, oa.point_id, oa.lens_i, oa.lens_j) \
-                == (ob.pose_id, ob.point_id, ob.lens_i, ob.lens_j)
-            assert abs(oa.px - ob.px) < 1e-9 and abs(oa.py - ob.py) < 1e-9
+        for column in ("pose", "point", "lens"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+        assert np.abs(a.pixel - b.pixel).max() < 1e-9
 
     def test_misalignment_with_distortion_rejected(self, camera, board, poses12):
         with pytest.raises(ValueError):
@@ -153,9 +152,9 @@ class TestSynthesize:
 
     def test_pixels_inside_sensor(self, noisy_observations, camera):
         # noise is added after the visibility test, so allow its tail
-        for o in noisy_observations:
-            assert -2.0 <= o.px <= camera.width + 1.0
-            assert -2.0 <= o.py <= camera.height + 1.0
+        px, py = noisy_observations.pixel.T
+        assert np.all((-2.0 <= px) & (px <= camera.width + 1.0))
+        assert np.all((-2.0 <= py) & (py <= camera.height + 1.0))
 
 
 class TestWhiteImage:

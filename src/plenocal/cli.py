@@ -144,16 +144,23 @@ def cmd_simulate(args) -> int:
         envelope = default_envelope(camera, board,
                                     tuple(cfg["scene_range_mm"]),
                                     max_rotation_deg=cfg["max_rotation_deg"])
+        # a misaligned MLA and the white image both need the array's pose,
+        # which aligned_mla refuses unless the sensor sits behind the MLA
+        mla = None
+        if cfg["misalignment_deg"] is not None:
+            rvec = np.radians(np.asarray(cfg["misalignment_deg"], dtype=float))
+            mla = aligned_mla(camera, rotation=rvec)
+            if any((dist.s1, dist.s2, dist.t1, dist.t2)):
+                raise ConfigError("distortion cannot be combined with "
+                                  "misalignment_deg")
+        elif cfg["white_image"]:
+            aligned_mla(camera)
     except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     out = _out_dir(args)
     try:
         poses = generate_poses(cfg["poses"], cfg["seed"], envelope)
-        mla = None
-        if cfg["misalignment_deg"] is not None:
-            rvec = np.radians(np.asarray(cfg["misalignment_deg"], dtype=float))
-            mla = aligned_mla(camera, rotation=rvec)
         observations = synthesize_observations(
             camera, board, poses, dist, cfg["sigma"], cfg["seed"] + 1,
             misalignment=mla)

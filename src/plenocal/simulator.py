@@ -26,6 +26,7 @@ logger = logging.getLogger("plenocal.simulator")
 
 _WINDOW_MARGIN = 3        # candidate lens window padding, lens indices
 _WINDOW_CAP = 60          # cap on the candidate radius near the focus singularity
+_STAMP_CHUNK = 512        # micro-images rendered per vectorized white-image batch
 
 
 @dataclass(frozen=True)
@@ -268,14 +269,21 @@ def default_envelope(spec: PhysicalCameraSpec, board: BoardSpec,
 
 def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarray,
                     dist: DistortionParams, mla: MlaMisalignmentSpec | None,
-                    frame: ExteriorFrame | None):
-    """Per scene point, the labels and exact pixels of all observing lenses.
+                    frame: ExteriorFrame | None
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (scene point, observing lens) pair of one pose, as flat rows.
 
     Points are given in the scene-side TPP frame.  The aligned path projects
     through the TPP model; with an ``mla`` pose the ray is traced physically
     (thin main lens + pinhole micro-lens) instead.  A point is observed by a
     lens when its pixel falls inside that lens's micro-image disc and inside
-    the sensor.
+    the sensor.  Each point's candidate lenses are a window of labels about
+    the lens that sees it head-on; a point on the u-v conjugate plane raises
+    BehindPlane before anything is projected.
+
+    Returns the point index (N,), lens label (N, 2) and exact pixel (N, 2)
+    of each observation, grouped by point in input order and ordered by
+    label within a point.
     """
     points_c = np.atleast_2d(points_c)
     k_xy, k_uv, u_0, v_0, f = tpp.k_x, tpp.k_u, tpp.u_0, tpp.v_0, tpp.f
@@ -285,54 +293,59 @@ def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarr
     i_rng, j_rng = lens_index_range(spec)
     radius = spec.micro_image_radius
 
-    results = []
-    for X in points_c:
-        denom = X[2] - f
-        if abs(denom) < 1e-9 * max(1.0, f):
-            raise BehindPlane("scene point lies on the u-v conjugate plane")
-        a_p = k_uv * X[2] / (denom * k_xy)
-        b_p = np.array([(u_0 * X[2] - f * X[0]) / (denom * k_xy),
-                        (v_0 * X[2] - f * X[1]) / (denom * k_xy)])
-        slope = a_p - a_c
-        if abs(slope) < 1e-9:
-            win = _WINDOW_CAP
-            ci, cj = 0.0, 0.0
-        else:
-            ci, cj = (b_c - b_p) / slope
-            win = min(_WINDOW_CAP, radius / abs(slope) + _WINDOW_MARGIN)
-        ii = np.arange(max(i_rng.start, math.floor(ci - win)),
-                       min(i_rng.stop, math.ceil(ci + win) + 1))
-        jj = np.arange(max(j_rng.start, math.floor(cj - win)),
-                       min(j_rng.stop, math.ceil(cj + win) + 1))
-        if len(ii) == 0 or len(jj) == 0:
-            results.append((np.empty((0, 2), int), np.empty((0, 2))))
-            continue
-        gi, gj = np.meshgrid(ii, jj, indexing="ij")
-        labels = np.column_stack([gi.ravel(), gj.ravel()])
+    # candidate window per point: where the point's micro-image line crosses
+    # the lattice of centers, padded by the disc radius over the slope
+    X, Y, Z = points_c.T
+    denom = Z - f
+    if np.any(np.abs(denom) < 1e-9 * max(1.0, f)):
+        raise BehindPlane("scene point lies on the u-v conjugate plane")
+    a_p = k_uv * Z / (denom * k_xy)
+    b_p = np.column_stack([(u_0 * Z - f * X) / (denom * k_xy),
+                           (v_0 * Z - f * Y) / (denom * k_xy)])
+    slope = a_p - a_c
+    flat = np.abs(slope) < 1e-9             # near focus: window at the origin
+    slope = np.where(flat, 1.0, slope)
+    center = np.where(flat[:, None], 0.0, (b_c - b_p) / slope[:, None])
+    win = np.where(flat, _WINDOW_CAP,
+                   np.minimum(_WINDOW_CAP, radius / np.abs(slope) + _WINDOW_MARGIN))
+    lo = np.maximum(np.floor(center - win[:, None]), [i_rng.start, j_rng.start])
+    hi = np.minimum(np.ceil(center + win[:, None]) + 1, [i_rng.stop, j_rng.stop])
+    size = np.maximum(hi - lo, 0).astype(np.int64)
+    lo = lo.astype(np.int64)
 
-        if mla is None:
-            # one site, the point itself, seen through every candidate lens
-            batch = ProjectionBatch(
-                points_w=X, site_pose=[0], labels=labels,
-                site=np.zeros(len(labels), dtype=int), lens=np.arange(len(labels)),
-                rvecs=np.zeros((1, 3)), tvecs=np.zeros((1, 3)))
-            pixels = project_pixels(batch, tpp, dist)
-            centers = a_c * labels + b_c
-        else:
-            q = frame.to_lens_frame(X)[0]
-            img = interior_image(q, spec.main_focal)[0]
-            lens_pts = lens_positions(mla, labels)
-            t = (z_s - img[2]) / (lens_pts[:, 2] - img[2])
-            hit = img[None, :2] + t[:, None] * (lens_pts[:, :2] - img[None, :2])
-            pixels = (hit - spec.sensor_origin[:2]) / spec.pixel_pitch
-            centers = micro_image_center_px(spec, labels, mla)
+    # one row per (point, candidate lens), labels in meshgrid "ij" order
+    counts = size[:, 0] * size[:, 1]
+    point = np.repeat(np.arange(len(points_c)), counts)
+    k = np.arange(len(point)) - np.repeat(np.cumsum(counts) - counts, counts)
+    nj = size[point, 1]
+    labels = lo[point] + np.column_stack([k // nj, k % nj])
 
-        d = pixels - centers
-        ok = (np.hypot(d[:, 0], d[:, 1]) <= radius) \
-            & (pixels[:, 0] >= 0) & (pixels[:, 0] <= spec.width - 1) \
-            & (pixels[:, 1] >= 0) & (pixels[:, 1] <= spec.height - 1)
-        results.append((labels[ok], pixels[ok]))
-    return results
+    if mla is None:
+        # the pose's points as sites, seen through their candidate lenses
+        batch = ProjectionBatch(
+            points_w=points_c, site_pose=np.zeros(len(points_c), dtype=int),
+            labels=labels, site=point, lens=np.arange(len(labels)),
+            rvecs=np.zeros((1, 3)), tvecs=np.zeros((1, 3)))
+        pixels = project_pixels(batch, tpp, dist)
+        centers = a_c * labels + b_c
+    else:
+        # only points with candidate lenses are traced through the main lens
+        seen = counts > 0
+        img = np.zeros((len(points_c), 3))
+        img[seen] = interior_image(frame.to_lens_frame(points_c[seen]),
+                                   spec.main_focal)
+        img = img[point]
+        lens_pts = lens_positions(mla, labels)
+        t = (z_s - img[:, 2]) / (lens_pts[:, 2] - img[:, 2])
+        hit = img[:, :2] + t[:, None] * (lens_pts[:, :2] - img[:, :2])
+        pixels = (hit - spec.sensor_origin[:2]) / spec.pixel_pitch
+        centers = micro_image_center_px(spec, labels, mla)
+
+    d = pixels - centers
+    ok = (np.hypot(d[:, 0], d[:, 1]) <= radius) \
+        & (pixels[:, 0] >= 0) & (pixels[:, 0] <= spec.width - 1) \
+        & (pixels[:, 1] >= 0) & (pixels[:, 1] <= spec.height - 1)
+    return point[ok], labels[ok], pixels[ok]
 
 
 def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> list[Pose]:
@@ -375,9 +388,8 @@ def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> list[Pose]:
         target = np.array([lateral[0], lateral[1], z])
         pose = Pose(rvec, target - Pose(rvec, np.zeros(3)).apply(center_w)[0])
         pts_c = pose.apply(pts_w)
-        seen = _observe_points(spec, tpp, pts_c, DistortionParams(), None, None)
-        frac = np.mean([len(lbl) > 0 for lbl, _ in seen])
-        if frac >= envelope.min_visible_fraction:
+        point, _, _ = _observe_points(spec, tpp, pts_c, DistortionParams(), None, None)
+        if len(np.unique(point)) / len(pts_c) >= envelope.min_visible_fraction:
             poses.append(pose)
         else:
             rejections += 1
@@ -402,19 +414,14 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
     frame = exterior_frame(spec) if misalignment is not None else None
     pts_w = np.column_stack([board.points_mm() / spec.pixel_pitch,
                              np.zeros(board.rows * board.cols)])
-    # per (pose, point): ids, then that point's lens labels and pixels
-    ids, lenses, pixels = [], [np.empty((0, 2), int)], [np.empty((0, 2))]
+    # per pose: the pose id, point ids, lens labels and pixels of its rows
+    columns = [(np.empty(0, int), np.empty(0, int), np.empty((0, 2), int),
+                np.empty((0, 2)))]
     for pose_id, pose in enumerate(poses):
-        pts_c = pose.apply(pts_w)
-        seen = _observe_points(spec, tpp, pts_c, dist, misalignment, frame)
-        for point_id, (labels, px) in enumerate(seen):
-            ids.append((pose_id, point_id, len(labels)))
-            lenses.append(labels)
-            pixels.append(px)
-    pose_ids, point_ids, counts = np.array(ids, dtype=np.int64).reshape(-1, 3).T
-    observations = Observations(np.repeat(pose_ids, counts),
-                                np.repeat(point_ids, counts),
-                                np.concatenate(lenses), np.concatenate(pixels))
+        point, labels, px = _observe_points(spec, tpp, pose.apply(pts_w), dist,
+                                            misalignment, frame)
+        columns.append((np.full(len(point), pose_id), point, labels, px))
+    observations = Observations(*map(np.concatenate, zip(*columns)))
     if len(observations) == 0:
         logger.warning("synthesized zero observations for %d poses", len(poses))
     elif noise_sigma > 0.0:
@@ -436,21 +443,26 @@ def synthesize_white_image(spec: PhysicalCameraSpec,
     centers = micro_image_center_px(spec, labels, mla)
 
     h, w = spec.height, spec.width
-    img = np.zeros((h, w))
     sigma = spec.micro_image_radius / 3.0
     half = int(math.ceil(3.0 * sigma))
     amp = 58000.0
-    for cx, cy in centers:
-        if cx < -half or cx > w + half or cy < -half or cy > h + half:
-            continue
-        x0, x1 = max(0, int(cx) - half), min(w, int(cx) + half + 1)
-        y0, y1 = max(0, int(cy) - half), min(h, int(cy) + half + 1)
-        if x0 >= x1 or y0 >= y1:
-            continue
-        ys, xs = np.mgrid[y0:y1, x0:x1]
-        img[y0:y1, x0:x1] += amp * np.exp(
-            -((xs - cx) ** 2 + (ys - cy) ** 2) / (2.0 * sigma * sigma))
-    return np.clip(img, 0.0, 65535.0).astype(np.uint16)
+    cx, cy = centers.T
+    centers = centers[(cx >= -half) & (cx <= w + half) & (cy >= -half) & (cy <= h + half)]
+    # each lens stamps a (2 half + 1)^2 window at its truncated center;
+    # pixels off the sensor are dropped and overlaps add up in lens order
+    offsets = np.arange(-half, half + 1)
+    img = np.zeros((h, w))
+    for start in range(0, len(centers), _STAMP_CHUNK):
+        cx, cy = (c[:, None] for c in centers[start:start + _STAMP_CHUNK].T)
+        xs = cx.astype(int) + offsets                   # (K, S) window columns
+        ys = cy.astype(int) + offsets                   # (K, S) window rows
+        stamp = amp * np.exp(
+            -((xs - cx)[:, None, :] ** 2 + (ys - cy)[:, :, None] ** 2)
+            / (2.0 * sigma * sigma))
+        inside = ((ys >= 0) & (ys < h))[:, :, None] & ((xs >= 0) & (xs < w))[:, None, :]
+        flat = ys[:, :, None] * w + xs[:, None, :]
+        np.add.at(img.reshape(-1), flat[inside], stamp[inside])
+    return np.clip(img, 0.0, 65535.0, out=img).astype(np.uint16)
 
 
 def reference_camera() -> PhysicalCameraSpec:

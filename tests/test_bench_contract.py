@@ -9,6 +9,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from plenocal import calibration, cli, io, simulator
 from plenocal.rectification import write_pgm
 
@@ -86,3 +88,15 @@ def test_synthesize_observations_len_is_row_count(camera, board, poses12,
     few = simulator.synthesize_observations(camera, board, poses12[:1],
                                             simulator.DistortionParams(), 0.0, 1)
     assert 0 < len(few) < len(noisy_observations)
+
+
+def test_generate_poses_returns_a_list_of_poses(poses12):
+    # the tracer's simulator.poses takes len() of what generate_poses returns
+    assert isinstance(poses12, list) and len(poses12) == 12
+    assert all(isinstance(p, simulator.Pose) for p in poses12)
+
+
+def test_white_image_is_a_uint16_raster(camera, white_image):
+    # cli.simulate hands the raster to write_pgm as a 16-bit image
+    assert white_image.dtype == np.uint16
+    assert white_image.shape == (camera.height, camera.width)

@@ -74,6 +74,31 @@ class TestSimulate:
                    "--white-image") == 0
         assert (out / "white.pgm").exists()
 
+    def test_distortion_with_misalignment_exit_2(self, tmp_path, caplog):
+        cfg = small_config(tmp_path, distortion={"s1": 1e-9})
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--out", out,
+                   "--misalign-deg", 0.1, 0, 0) == 2
+        assert "misalignment_deg" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--white-image"], ["--misalign-deg", 0.1, 0, 0]],
+                             ids=["white-image", "misalign-deg"])
+    def test_sensor_in_front_of_mla_exit_2(self, tmp_path, caplog, flags):
+        # the sensor mirrored to the far side of the MLA: observations can
+        # still be synthesized, but the MLA's pose is undefined
+        cfg = small_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        camera = payload["camera"]
+        mla_z = camera["mla_origin_mm"][2]
+        camera["sensor_origin_mm"][2] = 2 * mla_z - camera["sensor_origin_mm"][2]
+        cfg.write_text(json.dumps(payload))
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "plain") == 0
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--out", out, *flags) == 2
+        assert "sensor must sit behind the MLA" in caplog.text
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):

@@ -14,7 +14,7 @@ from .calibration import (CalibrationOutput, CalibrationResult, RefineOptions,
                           solve_q)
 from .evaluate import intrinsic_errors, mean_intrinsic_error, pose_errors
 from .projection import DistortionParams, Observations, Pose, residuals
-from .rectification import (MicroImageCenter, MlaMisalignmentSpec, detect_centers,
+from .rectification import (MicroImageCenters, MlaMisalignmentSpec, detect_centers,
                             estimate_rectifying_homography, project_centers,
                             read_pgm, rectify_observations, row_slopes, write_pgm)
 from .simulator import (BoardSpec, PhysicalCameraSpec, PoseEnvelope,

@@ -37,8 +37,7 @@ from .evaluate import (intrinsic_errors, mean_intrinsic_error, pose_errors,
 # wraps cli.residuals
 from .projection import DistortionParams, residuals  # noqa: F401
 from .rectification import (detect_centers, estimate_rectifying_homography,
-                            read_pgm, rectify_centers, rectify_observations,
-                            row_slopes, write_pgm)
+                            read_pgm, rectify_observations, row_slopes, write_pgm)
 from .simulator import (aligned_mla, default_envelope, default_setting,
                         generate_poses, reference_board, reference_camera,
                         physical_to_tpp, synthesize_observations,
@@ -61,9 +60,10 @@ class ConfigError(Exception):
 
 # what reading a configuration or an input file raises on malformed content,
 # including a JSON value of the wrong type (null where a number belongs, a key
-# a record type does not take); each is a configuration error, exit 2
-_CONFIG_ERRORS = (ConfigError, OSError, json.JSONDecodeError, KeyError, TypeError,
-                  ValueError)
+# a record type does not take) and an id or label too large for int64; each is
+# a configuration error, exit 2
+_CONFIG_ERRORS = (ConfigError, OSError, json.JSONDecodeError, KeyError,
+                  OverflowError, TypeError, ValueError)
 
 
 def _out_dir(args) -> Path:
@@ -277,6 +277,7 @@ def cmd_rectify(args) -> int:
     out = _out_dir(args)
     try:
         observations, board_points, meta = io.read_observations(args.observations)
+        centers = io.read_centers(args.centers) if args.centers else None
         pitch = args.pitch
         if args.white_image and pitch is None:
             pitch = setting_from_observations(observations, meta["sensor_px"]).k_u
@@ -284,13 +285,11 @@ def cmd_rectify(args) -> int:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
     try:
-        if args.centers:
-            centers = io.read_centers(args.centers)
-        else:
+        if centers is None:
             centers = detect_centers(read_pgm(args.white_image), pitch)
         fit = estimate_rectifying_homography(centers)
         before = row_slopes(centers)
-        after = row_slopes(rectify_centers(centers, fit.homography))
+        after = row_slopes(rectify_observations(centers, fit.homography))
     except (PlenocalError, OSError, ValueError) as exc:
         log.error("rectification failed: %s: %s", type(exc).__name__, exc)
         return EXIT_DETECTION

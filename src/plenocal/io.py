@@ -18,7 +18,7 @@ import numpy as np
 
 from .calibration import CalibrationOutput, CalibrationResult
 from .projection import DistortionParams, Observations, Pose
-from .rectification import MicroImageCenter, MlaMisalignmentSpec
+from .rectification import MicroImageCenters, MlaMisalignmentSpec
 from .simulator import BoardSpec, PhysicalCameraSpec
 from .tpp import TppParams
 
@@ -288,21 +288,31 @@ def write_residual_csv(path, observations: Observations,
 
 # --- rectification artifacts ------------------------------------------------------
 
-def write_centers(path, centers: list[MicroImageCenter]) -> None:
+def write_centers(path, centers: MicroImageCenters) -> None:
     payload = {
         "schema": CENTERS_SCHEMA,
-        "centers": [{"label": [c.i, c.j], "pixel": [c.x, c.y]} for c in centers],
+        "centers": [{"label": ij, "pixel": xy} for ij, xy in
+                    zip(centers.label.tolist(), centers.pixel.tolist())],
     }
     dump_json(path, payload, compact=True)
 
 
-def read_centers(path) -> list[MicroImageCenter]:
+def read_centers(path) -> MicroImageCenters:
+    """Raises ValueError on a non-finite pixel and on a repeated label."""
     payload = load_json(path)
     if payload.get("schema") != CENTERS_SCHEMA:
         raise ValueError(f"{path}: unexpected schema {payload.get('schema')!r}")
-    return [MicroImageCenter(int(c["label"][0]), int(c["label"][1]),
-                             float(c["pixel"][0]), float(c["pixel"][1]))
-            for c in payload["centers"]]
+    centers = MicroImageCenters([rec["label"] for rec in payload["centers"]],
+                                [rec["pixel"] for rec in payload["centers"]])
+    bad = ~np.isfinite(centers.pixel).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{path}: non-finite pixel for center label "
+                         f"{tuple(centers.label[np.argmax(bad)].tolist())}")
+    same = (centers.label[1:] == centers.label[:-1]).all(axis=1)
+    if same.any():
+        raise ValueError(f"{path}: repeated center label "
+                         f"{tuple(centers.label[np.argmax(same)].tolist())}")
+    return centers
 
 
 def write_rectification(path, *, homography: np.ndarray, fitted_pitch: float,

@@ -65,14 +65,26 @@ class MlaMisalignmentSpec:
         return rodrigues_matrix(self.rotation)
 
 
-@dataclass(frozen=True, slots=True)
-class MicroImageCenter:
-    """Sub-pixel center of one micro-lens image, with its lattice label."""
+@dataclass(frozen=True)
+class MicroImageCenters:
+    """Micro-image centers as one table: (N, 2) integer lattice labels (i, j)
+    and (N, 2) sub-pixel centers (x, y).  Construction sorts the rows by (j, i)
+    with a stable sort, so each lattice row is one contiguous slice."""
 
-    i: int
-    j: int
-    x: float
-    y: float
+    label: np.ndarray
+    pixel: np.ndarray
+
+    def __post_init__(self) -> None:
+        label = np.asarray(self.label, dtype=np.int64).reshape(-1, 2)
+        pixel = np.asarray(self.pixel, dtype=float).reshape(-1, 2)
+        if len(label) != len(pixel):
+            raise ValueError(f"{len(label)} center labels but {len(pixel)} pixels")
+        order = np.lexsort((label[:, 0], label[:, 1]))
+        object.__setattr__(self, "label", label[order])
+        object.__setattr__(self, "pixel", pixel[order])
+
+    def __len__(self) -> int:
+        return len(self.label)
 
 
 def lens_positions(spec: MlaMisalignmentSpec, labels: np.ndarray) -> np.ndarray:
@@ -178,7 +190,7 @@ def _orient_axes(centers: np.ndarray, start: int, spacing: float):
     return step_i, step_j
 
 
-def detect_centers(white_image: np.ndarray, expected_pitch: float) -> list[MicroImageCenter]:
+def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImageCenters:
     """Detect and label micro-image centers on a white (pure scene) image.
 
     Blobs are local maxima refined by intensity-weighted centroids.  Seeds
@@ -195,7 +207,7 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> list[Micro
     parent's position and steps, so one whole BFS frontier is queried at once
     and claims are granted in queue order (+i, -i, +j, -j per parent), the
     first claim on a blob winning; this is the order of a one-at-a-time walk.
-    Centers are returned sorted by (j, i).
+    Blobs that a lattice defect gives one label keep the walk's order.
     """
     raster = np.asarray(white_image)
     if raster.ndim != 2:
@@ -262,25 +274,22 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> list[Micro
         visited.append(new)
 
     order = np.concatenate(visited)
-    order = order[np.lexsort((labels[order, 0], labels[order, 1]))]
-    return [MicroImageCenter(i, j, x, y)
-            for (i, j), (x, y) in zip(labels[order].tolist(), centers[order].tolist())]
+    return MicroImageCenters(labels[order], centers[order])
 
 
-def row_slopes(centers: list[MicroImageCenter]) -> list[tuple[int, float]]:
+def row_slopes(centers: MicroImageCenters) -> list[tuple[int, float]]:
     """Total-least-squares line slope for every row with enough centers.
 
     Returns (row index j, tangent of the fitted line angle), sorted by j.
     """
-    rows: dict[int, list[MicroImageCenter]] = {}
-    for c in centers:
-        rows.setdefault(c.j, []).append(c)
-    usable = {j: cs for j, cs in rows.items() if len(cs) >= 10}
+    bounds = np.flatnonzero(np.diff(centers.label[:, 1])) + 1
+    usable = [(int(label[0, 1]), pixel) for label, pixel in
+              zip(np.split(centers.label, bounds), np.split(centers.pixel, bounds))
+              if len(pixel) >= 10]
     if len(usable) < 2:
         raise TooFewCenters("need at least 2 rows with 10 or more centers")
     out = []
-    for j in sorted(usable):
-        pts = np.array([(c.x, c.y) for c in usable[j]])
+    for j, pts in usable:
         pts = pts - pts.mean(axis=0)
         _, _, vt = np.linalg.svd(pts, full_matrices=False)
         vx, vy = vt[0]
@@ -307,8 +316,8 @@ class RectificationFit:
     rms: float                 # px, residual to the ideal grid after mapping
 
 
-def _fitted_pitch(centers: list[MicroImageCenter]) -> float:
-    by_label = {(c.i, c.j): (c.x, c.y) for c in centers}
+def _fitted_pitch(centers: MicroImageCenters) -> float:
+    by_label = dict(zip(map(tuple, centers.label.tolist()), centers.pixel.tolist()))
     spacings = []
     for (i, j), xy in by_label.items():
         for nb in ((i + 1, j), (i, j + 1)):
@@ -320,26 +329,23 @@ def _fitted_pitch(centers: list[MicroImageCenter]) -> float:
     return float(np.median(spacings))
 
 
-def estimate_rectifying_homography(centers: list[MicroImageCenter],
-                                   pitch: float | None = None) -> RectificationFit:
+def estimate_rectifying_homography(centers: MicroImageCenters) -> RectificationFit:
     """Fit the homography mapping detected centers to the ideal uniform grid.
 
-    The grid pitch is the median adjacent-label center spacing unless given.
+    The grid pitch is the median adjacent-label center spacing.
     Normalized DLT; the result is scaled so h33 = 1.
     """
     if len(centers) < 5:
         raise TooFewCenters(f"need at least 5 centers, got {len(centers)}")
-    if len({c.i for c in centers}) < 2 or len({c.j for c in centers}) < 2:
+    if np.ptp(centers.label, axis=0).min() == 0:
         raise DegenerateConfiguration("centers must span at least 2 rows and columns")
 
     p = _fitted_pitch(centers)
     if p == 0.0:
-        if pitch is None:
-            raise DegenerateConfiguration("no adjacent labels to fit a pitch from")
-        p = float(pitch)
+        raise DegenerateConfiguration("no adjacent labels to fit a pitch from")
 
-    src = np.array([(c.x, c.y) for c in centers])
-    dst = np.array([(c.i * p, c.j * p) for c in centers])
+    src = centers.pixel
+    dst = centers.label * p
     # the lattice origin is free; anchoring it at the mean label offset keeps
     # the homography near identity and independent of the labeling reference
     dst += (src - dst).mean(axis=0)
@@ -379,20 +385,12 @@ def apply_homography(points: np.ndarray, H: np.ndarray) -> np.ndarray:
     return hom[:, :2] / hom[:, 2:3]
 
 
-def rectify_observations(observations: Observations, H: np.ndarray) -> Observations:
-    """Map observation pixel coordinates through the rectifying homography.
-
-    Lens labels are preserved; only the pixel coordinates change.
+def rectify_observations(table: Observations | MicroImageCenters, H: np.ndarray
+                         ) -> Observations | MicroImageCenters:
+    """Map the pixel column of an observation or center table through the
+    rectifying homography; every other column is kept.
     """
-    return replace(observations, pixel=apply_homography(observations.pixel, H))
-
-
-def rectify_centers(centers: list[MicroImageCenter], H: np.ndarray
-                    ) -> list[MicroImageCenter]:
-    """Map detected centers through the homography, keeping their labels."""
-    mapped = apply_homography(np.array([(c.x, c.y) for c in centers]), H)
-    return [MicroImageCenter(c.i, c.j, float(x), float(y))
-            for c, (x, y) in zip(centers, mapped)]
+    return replace(table, pixel=apply_homography(table.pixel, H))
 
 
 # --- PGM (binary P5) rasters --------------------------------------------------

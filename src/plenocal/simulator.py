@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -421,14 +421,14 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
         point, labels, px = _observe_points(spec, tpp, pose.apply(pts_w), dist,
                                             misalignment, frame)
         columns.append((np.full(len(point), pose_id), point, labels, px))
-    observations = Observations(*map(np.concatenate, zip(*columns)))
-    if len(observations) == 0:
+    # each pose's rows come grouped by point and ordered by label: table order
+    pose, point, lens, pixel = map(np.concatenate, zip(*columns))
+    if len(pixel) == 0:
         logger.warning("synthesized zero observations for %d poses", len(poses))
     elif noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        noise = rng.normal(0.0, noise_sigma, size=(len(observations), 2))
-        observations = replace(observations, pixel=observations.pixel + noise)
-    return observations
+        pixel = pixel + rng.normal(0.0, noise_sigma, size=pixel.shape)
+    return Observations(pose, point, lens, pixel)
 
 
 def synthesize_white_image(spec: PhysicalCameraSpec,

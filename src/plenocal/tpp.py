@@ -65,14 +65,6 @@ class TppParams:
         return cls(k_xy, k_xy, k_uv, k_uv, u_0, v_0,
                    f if f_prime is None else f_prime, f)
 
-    @property
-    def k_xy(self) -> float:
-        return self.k_x
-
-    @property
-    def k_uv(self) -> float:
-        return self.k_u
-
 
 def incidence_matrix(rays: np.ndarray) -> np.ndarray:
     """Stacked incidence rows (2N, 4) for an (N, 5) ray array.

@@ -16,7 +16,7 @@ from plenocal.calibration import RefineOptions, calibrate
 from plenocal.cli import main as cli_main
 from plenocal.evaluate import intrinsic_errors, mean_intrinsic_error
 from plenocal.projection import DistortionParams
-from plenocal.rectification import (MicroImageCenter, apply_homography,
+from plenocal.rectification import (MicroImageCenters, apply_homography,
                                     detect_centers, estimate_rectifying_homography,
                                     rectify_observations, row_slopes)
 from plenocal.tpp import TppParams, projective_matrix, transform_point, transform_rays, triangulate
@@ -211,9 +211,8 @@ def test_criterion_6_rectification(camera, board, board_points, setting,
     centers = detect_centers(image, setting.k_u)
     pre = row_slopes(centers)
     fit = estimate_rectifying_homography(centers)
-    mapped = [MicroImageCenter(c.i, c.j,
-                               *apply_homography([[c.x, c.y]], fit.homography)[0])
-              for c in centers]
+    mapped = MicroImageCenters(centers.label,
+                               apply_homography(centers.pixel, fit.homography))
     post = row_slopes(mapped)
     range_pre = float(np.ptp([s for _, s in pre]))
     range_post = float(np.ptp([s for _, s in post]))

@@ -7,7 +7,8 @@ import pytest
 
 from plenocal import io
 from plenocal.cli import main
-from plenocal.rectification import write_pgm
+from plenocal.rectification import detect_centers, read_pgm, write_pgm
+from plenocal.simulator import default_setting
 
 
 def small_config(tmp_path, **overrides):
@@ -360,6 +361,12 @@ class TestWronglyTypedJson:
         obs = tampered_observations(sim_dir, tmp_path, null_pixel)
         assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
 
+    def test_calibrate_lens_label_beyond_int64_exit_2(self, sim_dir, tmp_path):
+        def huge_label(payload):
+            payload["poses"][0]["observations"][0]["lens"] = [2 ** 70, 0]
+        obs = tampered_observations(sim_dir, tmp_path, huge_label)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+
 
 class TestRectify:
     def test_identity_misalignment(self, tmp_path):
@@ -390,6 +397,92 @@ class TestRectify:
             run("rectify", sim_dir / "observations.json",
                 "--out", tmp_path / "r")
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def white_run(tmp_path_factory):
+    """A misaligned simulate --white-image run and its rectify --white-image."""
+    tmp = tmp_path_factory.mktemp("white")
+    cfg = small_config(tmp, misalignment_deg=[0.2, -0.1, 0.3], white_image=True)
+    simout, rect = tmp / "sim", tmp / "rect"
+    assert run("simulate", "--config", cfg, "--out", simout) == 0
+    assert run("rectify", simout / "observations.json",
+               "--white-image", simout / "white.pgm", "--out", rect) == 0
+    return simout, rect
+
+
+def tampered_centers(white_run, tmp_path, edit):
+    """Copy of the rectify run's centers file after ``edit(payload)``, and
+    what the edit returned."""
+    payload = json.loads((white_run[1] / "centers.json").read_text())
+    named = edit(payload)
+    path = tmp_path / "centers.json"
+    path.write_text(json.dumps(payload))
+    return path, named
+
+
+def nan_center_pixel(payload):
+    record = payload["centers"][3]
+    record["pixel"][1] = float("nan")
+    return tuple(record["label"])
+
+
+def repeated_center(payload):
+    record = payload["centers"][5]
+    payload["centers"].append(dict(record))
+    return tuple(record["label"])
+
+
+class TestRectifyCenters:
+    def test_matches_white_image_run(self, white_run, tmp_path):
+        simout, rect = white_run
+        out = tmp_path / "rc"
+        assert run("rectify", simout / "observations.json",
+                   "--centers", rect / "centers.json", "--out", out) == 0
+        for name in ("rectification.json", "observations_rectified.json",
+                     "centers.json"):
+            assert (out / name).read_bytes() == (rect / name).read_bytes(), name
+
+    def test_centers_file_round_trip(self, white_run, tmp_path):
+        simout, _ = white_run
+        camera = io.camera_from_dict(json.loads(
+            (simout / "run_config.json").read_text())["camera"])
+        centers = detect_centers(read_pgm(simout / "white.pgm"),
+                                 default_setting(camera).k_u)
+        io.write_centers(tmp_path / "centers.json", centers)
+        back = io.read_centers(tmp_path / "centers.json")
+        for column in ("label", "pixel"):
+            a, b = getattr(centers, column), getattr(back, column)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
+
+    @pytest.mark.parametrize("edit, message", [
+        (nan_center_pixel, "non-finite pixel for center label"),
+        (repeated_center, "repeated center label")], ids=["nan-pixel", "repeated-label"])
+    def test_bad_record_exit_2_names_label(self, white_run, tmp_path, caplog,
+                                           edit, message):
+        path, label = tampered_centers(white_run, tmp_path, edit)
+        assert run("rectify", white_run[0] / "observations.json",
+                   "--centers", path, "--out", tmp_path / "r") == 2
+        assert f"{message} {label}" in caplog.text
+
+    @pytest.mark.parametrize("edit", [
+        lambda p: p["centers"][0].update(label=None),
+        lambda p: p["centers"][0].pop("label"),
+        lambda p: p.pop("centers"),
+        lambda p: p["centers"][0].update(label=[2 ** 70, 0])],
+        ids=["null-label", "no-label", "no-centers", "huge-label"])
+    def test_malformed_file_exit_2(self, white_run, tmp_path, edit):
+        path, _ = tampered_centers(white_run, tmp_path, edit)
+        assert run("rectify", white_run[0] / "observations.json",
+                   "--centers", path, "--out", tmp_path / "r") == 2
+
+    @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_file_exit_2(self, sim_dir, tmp_path, content):
+        path = tmp_path / "centers.json"
+        if content is not None:
+            path.write_text(content)
+        assert run("rectify", sim_dir / "observations.json",
+                   "--centers", path, "--out", tmp_path / "r") == 2
 
 
 def test_calibrate_reports_are_deterministic(sim_dir, tmp_path):

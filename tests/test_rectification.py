@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from scipy.spatial import cKDTree
 
 from plenocal import rectification
 from plenocal import simulator as sim
-from plenocal.errors import (AmbiguousPitch, DegenerateGeometry, NoGridFound,
-                             PointAtInfinity, TooFewCenters)
+from plenocal.errors import (AmbiguousPitch, DegenerateConfiguration,
+                             DegenerateGeometry, NoGridFound, PointAtInfinity,
+                             TooFewCenters)
 from plenocal.projection import Observations
-from plenocal.rectification import (MicroImageCenter, MlaMisalignmentSpec,
+from plenocal.rectification import (MicroImageCenters, MlaMisalignmentSpec,
                                     apply_homography, detect_centers,
                                     estimate_rectifying_homography,
                                     project_centers, read_pgm,
@@ -78,10 +80,7 @@ def reference_detect_centers(white_image, expected_pitch):
             nsi = local * (1 if di > 0 else -1) if di != 0 else si
             nsj = local * (1 if dj > 0 else -1) if dj != 0 else sj
             queue.append((m, nsi, nsj))
-    out = [MicroImageCenter(i, j, float(centers[k][0]), float(centers[k][1]))
-           for k, (i, j) in labels.items()]
-    out.sort(key=lambda c: (c.j, c.i))
-    return out
+    return MicroImageCenters(list(labels.values()), centers[list(labels)])
 
 
 def reference_work(white_image):
@@ -126,10 +125,7 @@ class TestProjectCenter:
     def test_y_rotation_slopes_descend_linearly(self):
         mla = make_mla(rotation=(0.0, np.radians(0.5), 0.0))
         labels = label_grid(40, 20)
-        pts = project_centers(mla, labels)
-        centers = [MicroImageCenter(int(i), int(j), x, y)
-                   for (i, j), (x, y) in zip(labels, pts)]
-        slopes = row_slopes(centers)
+        slopes = row_slopes(MicroImageCenters(labels, project_centers(mla, labels)))
         js = np.array([j for j, _ in slopes], float)
         vs = np.array([s for _, s in slopes])
         coef = np.polyfit(js, vs, 1)
@@ -144,14 +140,26 @@ class TestProjectCenter:
             project_centers(mla, np.array([[40, 0]]))
 
 
+class TestMicroImageCenters:
+    def test_rows_sorted_by_j_then_i(self):
+        centers = MicroImageCenters([(1, 1), (0, 2), (0, 1), (1, 1)],
+                                    [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0), (4.0, 0.0)])
+        assert len(centers) == 4
+        np.testing.assert_array_equal(centers.label, [(0, 1), (1, 1), (1, 1), (0, 2)])
+        # equal labels keep their input order
+        np.testing.assert_array_equal(centers.pixel[:, 0], [3.0, 1.0, 4.0, 2.0])
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="2 center labels but 1 pixels"):
+            MicroImageCenters([(0, 0), (1, 0)], [(0.0, 0.0)])
+
+
 class TestRowSlopes:
     def grid_centers(self, theta=0.0, pitch=30.0, ni=12, nj=3):
         labels = label_grid(ni, nj)
         R = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
-        pts = labels * pitch @ R.T
-        return [MicroImageCenter(int(i), int(j), x, y)
-                for (i, j), (x, y) in zip(labels, pts)]
+        return MicroImageCenters(labels, labels * pitch @ R.T)
 
     def test_axis_aligned_grid(self):
         slopes = row_slopes(self.grid_centers())
@@ -170,9 +178,8 @@ class TestRowSlopes:
 
 class TestRectifyingHomography:
     def test_uniform_grid_identity(self):
-        centers = [MicroImageCenter(int(i), int(j), 31.0 * i, 31.0 * j)
-                   for i, j in label_grid(8, 6)]
-        fit = estimate_rectifying_homography(centers)
+        labels = label_grid(8, 6)
+        fit = estimate_rectifying_homography(MicroImageCenters(labels, 31.0 * labels))
         np.testing.assert_allclose(fit.homography, np.eye(3), atol=1e-9)
         assert fit.fitted_pitch == pytest.approx(31.0)
         assert fit.rms < 1e-9
@@ -180,9 +187,7 @@ class TestRectifyingHomography:
     def test_misalignment_round_trip(self):
         mla = make_mla(rotation=np.radians([0.1, 0.5, 0.2]))
         labels = label_grid(40, 25)
-        pts = project_centers(mla, labels)
-        centers = [MicroImageCenter(int(i), int(j), x, y)
-                   for (i, j), (x, y) in zip(labels, pts)]
+        centers = MicroImageCenters(labels, project_centers(mla, labels))
         fit = estimate_rectifying_homography(centers)
         assert fit.rms < 0.05
 
@@ -193,16 +198,10 @@ class TestRectifyingHomography:
             axis /= np.linalg.norm(axis)
             mla = make_mla(rotation=np.radians(deg) * axis)
             labels = label_grid(40, 25)
-            pts = project_centers(mla, labels)
-            centers = [MicroImageCenter(int(i), int(j), x, y)
-                       for (i, j), (x, y) in zip(labels, pts)]
+            centers = MicroImageCenters(labels, project_centers(mla, labels))
             before = row_slopes(centers)
             fit = estimate_rectifying_homography(centers)
-            mapped = [MicroImageCenter(c.i, c.j,
-                                       *apply_homography([[c.x, c.y]],
-                                                         fit.homography)[0])
-                      for c in centers]
-            after = row_slopes(mapped)
+            after = row_slopes(rectify_observations(centers, fit.homography))
             rng_b = np.ptp([s for _, s in before])
             rng_a = np.ptp([s for _, s in after])
             assert rng_a < rng_b
@@ -210,20 +209,27 @@ class TestRectifyingHomography:
     def test_refit_on_own_output_is_identity(self):
         mla = make_mla(rotation=np.radians([0.0, 0.6, 0.1]))
         labels = label_grid(30, 20)
-        pts = project_centers(mla, labels)
-        centers = [MicroImageCenter(int(i), int(j), x, y)
-                   for (i, j), (x, y) in zip(labels, pts)]
+        centers = MicroImageCenters(labels, project_centers(mla, labels))
         fit = estimate_rectifying_homography(centers)
-        mapped = [MicroImageCenter(c.i, c.j,
-                                   *apply_homography([[c.x, c.y]], fit.homography)[0])
-                  for c in centers]
-        refit = estimate_rectifying_homography(mapped)
+        refit = estimate_rectifying_homography(
+            rectify_observations(centers, fit.homography))
         np.testing.assert_allclose(refit.homography, np.eye(3), atol=1e-8)
 
     def test_too_few_centers(self):
-        centers = [MicroImageCenter(i, 0, 30.0 * i, 0.0) for i in range(4)]
+        centers = MicroImageCenters([(i, 0) for i in range(4)],
+                                    [(30.0 * i, 0.0) for i in range(4)])
         with pytest.raises(TooFewCenters):
             estimate_rectifying_homography(centers)
+
+    def test_single_row_is_degenerate(self):
+        labels = np.column_stack([np.arange(8), np.zeros(8, int)])
+        with pytest.raises(DegenerateConfiguration, match="2 rows and columns"):
+            estimate_rectifying_homography(MicroImageCenters(labels, 30.0 * labels))
+
+    def test_no_adjacent_labels_is_degenerate(self):
+        labels = 2 * label_grid(2, 2)
+        with pytest.raises(DegenerateConfiguration, match="no adjacent labels"):
+            estimate_rectifying_homography(MicroImageCenters(labels, 30.0 * labels))
 
 
 def small_camera():
@@ -247,14 +253,12 @@ class TestDetectCenters:
         truth_xy = sim.micro_image_center_px(spec, labels, sim.aligned_mla(spec))
         truth = {tuple(l): xy for l, xy in zip(map(tuple, labels), truth_xy)}
         # labels from detection are defined relative to the central blob
-        best = min(centers, key=lambda c: (c.x - 330) ** 2 + (c.y - 250) ** 2)
-        tlab = min(truth, key=lambda k: np.hypot(truth[k][0] - best.x,
-                                                 truth[k][1] - best.y))
-        di, dj = tlab[0] - best.i, tlab[1] - best.j
-        errs = []
-        for c in centers:
-            tx, ty = truth[(c.i + di, c.j + dj)]
-            errs.append(np.hypot(c.x - tx, c.y - ty))
+        best = np.argmin(np.hypot(*(centers.pixel - (330, 250)).T))
+        bx, by = centers.pixel[best]
+        tlab = min(truth, key=lambda k: np.hypot(truth[k][0] - bx, truth[k][1] - by))
+        shift = np.subtract(tlab, centers.label[best])
+        errs = [np.hypot(*(xy - truth[tuple(ij)]))
+                for ij, xy in zip((centers.label + shift).tolist(), centers.pixel)]
         # this raster is tiny, so count against lenses whose centroid window
         # fits inside it; the full-size count check runs on the session image
         margin = 0.45 * pitch
@@ -291,8 +295,8 @@ class TestDetectCenters:
         img = sim.synthesize_white_image(spec, mla)
         centers = detect_centers(img, sim.default_setting(spec).k_u)
         # an affine lattice fit must explain every label without row skips
-        A = np.array([[c.i, c.j, 1.0] for c in centers])
-        xy = np.array([(c.x, c.y) for c in centers])
+        A = np.column_stack([centers.label, np.ones(len(centers))])
+        xy = centers.pixel
         coef, *_ = np.linalg.lstsq(A, xy, rcond=None)
         resid = np.abs(A @ coef - xy).max()
         assert resid < 0.3 * sim.default_setting(spec).k_u
@@ -379,9 +383,8 @@ class TestDetectCentersMatchesReference:
     def assert_matches(self, img, pitch):
         got = detect_centers(img, pitch)
         want = reference_detect_centers(img, pitch)
-        assert [(c.i, c.j) for c in got] == [(c.i, c.j) for c in want]
-        np.testing.assert_allclose([(c.x, c.y) for c in got],
-                                   [(c.x, c.y) for c in want], rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(got.label, want.label)
+        np.testing.assert_allclose(got.pixel, want.pixel, rtol=0, atol=1e-9)
         return got
 
     def test_full_raster(self, rotated_white):
@@ -413,7 +416,7 @@ class TestDetectCentersMatchesReference:
         x, y = near_center_seed(seeds, img, (-3 * pitch, -pitch))
         got = self.assert_matches(with_dark_plateau_center(img, seeds, pitch), pitch)
         # the outline's seed keeps its position and is labeled
-        assert any((c.x, c.y) == (x, y) for c in got)
+        assert np.any((got.pixel == (x, y)).all(axis=1))
 
     def test_lattice_dislocation(self):
         self.assert_matches(dislocated_lattice(), 35.0)
@@ -438,6 +441,100 @@ class TestRectifyObservations:
         H = np.array([[1.0, 0, 0], [0, 1.0, 0], [-0.01, 0, 1.0]])
         with pytest.raises(PointAtInfinity):
             rectify_observations(Observations([0], [0], [(0, 0)], [(100.0, 0.0)]), H)
+
+    def test_centers_keep_their_labels(self):
+        labels = label_grid(3, 2)
+        centers = MicroImageCenters(labels, 30.0 * labels)
+        H = np.array([[1.01, 0.02, 7.5], [-0.01, 0.99, -2.5], [1e-5, 0, 1.0]])
+        out = rectify_observations(centers, H)
+        assert isinstance(out, MicroImageCenters)
+        np.testing.assert_array_equal(out.label, centers.label)
+        np.testing.assert_array_equal(out.pixel, apply_homography(centers.pixel, H))
+
+
+# --- references: the per-center object format the table replaced; slopes,
+# pitch, homography and fit RMS must equal theirs bit for bit ---
+
+@dataclass(frozen=True)
+class RefCenter:
+    i: int
+    j: int
+    x: float
+    y: float
+
+
+def reference_row_slopes(centers):
+    rows = {}
+    for c in centers:
+        rows.setdefault(c.j, []).append(c)
+    usable = {j: cs for j, cs in rows.items() if len(cs) >= 10}
+    if len(usable) < 2:
+        raise TooFewCenters("need at least 2 rows with 10 or more centers")
+    out = []
+    for j in sorted(usable):
+        pts = np.array([(c.x, c.y) for c in usable[j]])
+        pts = pts - pts.mean(axis=0)
+        _, _, vt = np.linalg.svd(pts, full_matrices=False)
+        vx, vy = vt[0]
+        out.append((j, float(vy / vx)))
+    return out
+
+
+def reference_fitted_pitch(centers):
+    by_label = {(c.i, c.j): (c.x, c.y) for c in centers}
+    spacings = []
+    for (i, j), xy in by_label.items():
+        for nb in ((i + 1, j), (i, j + 1)):
+            if nb in by_label:
+                spacings.append(math.hypot(by_label[nb][0] - xy[0],
+                                           by_label[nb][1] - xy[1]))
+    return float(np.median(spacings))
+
+
+def reference_rectifying_homography(centers):
+    """(H, pitch, rms) by the per-center normalized DLT."""
+    p = reference_fitted_pitch(centers)
+    src = np.array([(c.x, c.y) for c in centers])
+    dst = np.array([(c.i * p, c.j * p) for c in centers])
+    dst += (src - dst).mean(axis=0)
+    sn, Ts = rectification._normalize_2d(src)
+    dn, Td = rectification._normalize_2d(dst)
+    A = np.zeros((2 * len(centers), 9))
+    A[0::2, 0:2] = -sn
+    A[0::2, 2] = -1.0
+    A[0::2, 6:8] = dn[:, 0:1] * sn
+    A[0::2, 8] = dn[:, 0]
+    A[1::2, 3:5] = -sn
+    A[1::2, 5] = -1.0
+    A[1::2, 6:8] = dn[:, 1:2] * sn
+    A[1::2, 8] = dn[:, 1]
+    _, _, Vt = np.linalg.svd(A, full_matrices=False)
+    H = np.linalg.inv(Td) @ Vt[-1].reshape(3, 3) @ Ts
+    H = H / H[2, 2]
+    mapped = apply_homography(src, H)
+    return H, p, float(np.sqrt(np.mean(np.sum((mapped - dst) ** 2, axis=1))))
+
+
+def reference_rectify_centers(centers, H):
+    mapped = apply_homography(np.array([(c.x, c.y) for c in centers]), H)
+    return [RefCenter(c.i, c.j, float(x), float(y)) for c, (x, y) in zip(centers, mapped)]
+
+
+@pytest.mark.parametrize("misaligned", [False, True], ids=["aligned", "misaligned"])
+def test_table_fit_equals_object_reference(camera, white_image, misaligned):
+    image = (sim.synthesize_white_image(
+        camera, sim.aligned_mla(camera, rotation=np.radians([0.2, -0.1, 0.3])))
+        if misaligned else white_image)
+    centers = detect_centers(image, sim.default_setting(camera).k_u)
+    objects = [RefCenter(i, j, x, y) for (i, j), (x, y) in
+               zip(centers.label.tolist(), centers.pixel.tolist())]
+    fit = estimate_rectifying_homography(centers)
+    H, pitch, rms = reference_rectifying_homography(objects)
+    assert fit.homography.tobytes() == H.tobytes()
+    assert (fit.fitted_pitch, fit.rms) == (pitch, rms)
+    assert row_slopes(centers) == reference_row_slopes(objects)
+    assert (row_slopes(rectify_observations(centers, H))
+            == reference_row_slopes(reference_rectify_centers(objects, H)))
 
 
 class TestPgm:

@@ -5,7 +5,7 @@ import pytest
 
 from plenocal import simulator as sim
 from plenocal.errors import EnvelopeInfeasible, FocalSingularity
-from plenocal.projection import DistortionParams, residuals
+from plenocal.projection import DistortionParams, Observations, residuals
 from plenocal.tpp import decode_virtual_rays
 
 
@@ -171,12 +171,12 @@ class TestWhiteImage:
         truth_xy = sim.micro_image_center_px(camera, labels, sim.aligned_mla(camera))
         truth = {tuple(l): xy for l, xy in zip(map(tuple, labels), truth_xy)}
         w, h = camera.width, camera.height
-        best = min(centers, key=lambda c: (c.x - w / 2)**2 + (c.y - h / 2)**2)
-        tlab = min(truth, key=lambda k: np.hypot(truth[k][0] - best.x,
-                                                 truth[k][1] - best.y))
-        di, dj = tlab[0] - best.i, tlab[1] - best.j
-        errs = [np.hypot(c.x - truth[(c.i + di, c.j + dj)][0],
-                         c.y - truth[(c.i + di, c.j + dj)][1]) for c in centers]
+        best = np.argmin(np.hypot(*(centers.pixel - (w / 2, h / 2)).T))
+        bx, by = centers.pixel[best]
+        tlab = min(truth, key=lambda k: np.hypot(truth[k][0] - bx, truth[k][1] - by))
+        shift = np.subtract(tlab, centers.label[best])
+        errs = [np.hypot(*(xy - truth[tuple(ij)]))
+                for ij, xy in zip((centers.label + shift).tolist(), centers.pixel)]
         assert max(errs) < 0.05
 
     def test_misaligned_slopes_descend(self, camera):
@@ -382,6 +382,19 @@ class TestBatchedEqualsReference:
                                           misalignment=mla)
         assert len(got) > 0
         assert_same_table(got, reference_observations(camera, board, poses, dist, mla))
+
+    @pytest.mark.parametrize("mode", ["aligned", "misaligned"])
+    def test_noise_added_in_table_order(self, camera, board, poses12, mode):
+        # one normal draw per row of the sorted table, in row order
+        mla = (sim.aligned_mla(camera, np.radians(MISALIGNED_DEG))
+               if mode == "misaligned" else None)
+        clean, noisy = (sim.synthesize_observations(camera, board, poses12,
+                                                    DistortionParams(), sigma, 5,
+                                                    misalignment=mla)
+                        for sigma in (0.0, 0.3))
+        noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(clean), 2))
+        assert_same_table(noisy, Observations(clean.pose, clean.point, clean.lens,
+                                              clean.pixel + noise))
 
     @pytest.mark.parametrize("seed", [0, 5, 42])
     def test_poses_default_envelope(self, camera, board, seed):

@@ -38,7 +38,8 @@ _Q_COLLAPSE_RATIO = 0.05
 _MIN_BOARD_POINTS = 6
 
 # damped least squares schedule
-_LM_DAMPING_INIT = 1e-3          # times trace of the scaled approximate Hessian
+_LM_DAMPING_INIT = 1e-3          # times the floored diagonal of J^T J
+_LM_DIAG_FLOOR = 1e-6            # damping floor, relative to the mean of diag(J^T J)
 _LM_UP, _LM_DOWN = 10.0, 0.1
 _LM_MAX_REJECTED = 20
 _GRAD_TOL = 1e-10                # relative to the initial gradient inf-norm
@@ -81,12 +82,14 @@ class RefineOptions:
 
 @dataclass
 class CalibrationOutput:
-    """Linear and refined results plus the iteration trace of the refinement."""
+    """Linear and refined results plus the iteration trace of the refinement
+    and why it stopped (see ``refine``)."""
 
     linear: CalibrationResult
     refined: CalibrationResult
     setting: TppParams
-    trace: list[dict] = field(default_factory=list)
+    trace: list[dict]
+    stop: str
 
 
 def estimate_homography(rays_per_point) -> np.ndarray:
@@ -484,21 +487,27 @@ class _NormalEquations:
             g_p[p] = Jp[rows].T @ r[rows]
         return cls(Ji.T @ Ji, W, V, Ji.T @ r, g_p)
 
-    def trace(self) -> float:
-        return float(np.trace(self.U) + np.trace(self.V, axis1=1, axis2=2).sum())
-
     def grad_inf(self) -> float:
         return float(max(np.abs(self.g_i).max(), np.abs(self.g_p).max()))
 
     def step(self, damping: float) -> tuple[np.ndarray, np.ndarray]:
-        """Solve (A + damping I) delta = -g for the intrinsic step (m,) and
-        the pose steps (P, 6) by eliminating the pose blocks: the reduced
-        m x m system is S = U' - sum_p W_p V_p'^-1 W_p^T, primes marking the
-        damped blocks, and each pose step follows by back-substitution."""
+        """Solve (A + damping D) delta = -g for the intrinsic step (m,) and
+        the pose steps (P, 6), D being diag(A) floored at ``_LM_DIAG_FLOOR``
+        of its mean entry (Marquardt's damping; in ``refine``'s scaled space
+        the floor lifts only the free distortion-center columns, which are
+        exactly zero at zero distortion and stay tiny after).  The pose
+        blocks are eliminated: the reduced m x m
+        system is S = U' - sum_p W_p V_p'^-1 W_p^T, primes marking the damped
+        blocks, and each pose step follows by back-substitution."""
         m = self.U.shape[0]
+        diag_u = np.diagonal(self.U)
+        diag_v = np.diagonal(self.V, axis1=1, axis2=2)
+        floor = _LM_DIAG_FLOOR * (diag_u.sum() + diag_v.sum()) / (diag_u.size + diag_v.size)
+        V = self.V + damping * np.maximum(diag_v, floor)[:, :, None] * np.eye(6)
+        U = self.U + damping * np.diag(np.maximum(diag_u, floor))
         rhs = np.concatenate([self.W.transpose(0, 2, 1), self.g_p[:, :, None]], axis=2)
-        X = np.linalg.solve(self.V + damping * np.eye(6), rhs)   # V_p'^-1 [W_p^T | g_p]
-        S = self.U + damping * np.eye(m) - np.einsum("pik,pkj->ij", self.W, X[:, :, :m])
+        X = np.linalg.solve(V, rhs)                          # V_p'^-1 [W_p^T | g_p]
+        S = U - np.einsum("pik,pkj->ij", self.W, X[:, :, :m])
         b = np.einsum("pik,pk->i", self.W, X[:, :, m]) - self.g_i
         try:
             d_i = np.linalg.solve(S, b)
@@ -510,20 +519,23 @@ class _NormalEquations:
 
 def refine(initial: CalibrationResult, observations: Observations, board_points,
            options: RefineOptions | None = None
-           ) -> tuple[CalibrationResult, list[dict]]:
+           ) -> tuple[CalibrationResult, list[dict], str]:
     """Minimize the re-projection error by damped least squares.
 
     Optimizes (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2) plus every pose, and
     optionally the two distortion centers; the decode-plane separation stays
-    a fixed convention.  Accepted steps never increase the cost; the damping
-    is scaled up by 10 on rejection and down by 10 on acceptance.  Each step
-    is solved on the reduced intrinsic system (see ``_NormalEquations``).
-    The refinement stops once the gradient has shrunk by ``_GRAD_TOL``, the
-    step vanishes, or an accepted step lowers the cost by less than
-    ``_COST_TOL`` of it: the cost then sits at its numerical floor.
+    a fixed convention.  Accepted steps never increase the cost; the damping,
+    relative to the floored diagonal of J^T J, is scaled up by 10 on
+    rejection and down by 10 on acceptance.  Each step is solved on the
+    reduced intrinsic system (see ``_NormalEquations``).  The refinement
+    stops once the gradient has shrunk by ``_GRAD_TOL`` ("gradient"), the
+    step vanishes ("step"), an accepted step lowers the cost by less than
+    ``_COST_TOL`` of it ("cost"; the cost then sits at its numerical floor),
+    ``_LM_MAX_REJECTED`` steps in a row are rejected after some progress
+    ("rejections"), or at ``options.max_iterations`` ("max_iterations").
 
     Returns the refined result, whose ``residuals`` are those of its
-    parameters in table order, and the per-iteration trace.
+    parameters in table order, the per-iteration trace, and the stop reason.
     """
     options = options or RefineOptions()
     if len(initial.poses) < 3:
@@ -593,18 +605,21 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     r, eq = linearize(theta)
     cost = float(r @ r)
     g0_inf = eq.grad_inf()
-    damping = _LM_DAMPING_INIT * eq.trace()
+    damping = _LM_DAMPING_INIT
 
     trace: list[dict] = []
+    stop = "max_iterations"
     rejected_run = 0
     for iteration in range(options.max_iterations):
         grad_inf = eq.grad_inf()
         if g0_inf > 0 and grad_inf < _GRAD_TOL * g0_inf:
+            stop = "gradient"
             break
         d_i, d_p = eq.step(damping)
         step = np.concatenate([d_i, d_p.reshape(-1)])
         step_norm = float(np.linalg.norm(step))
         if step_norm < _STEP_TOL:
+            stop = "step"
             break
         delta = np.zeros(theta.size)
         delta[active] = step
@@ -620,6 +635,7 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
             theta, cost = candidate, new_cost
             if at_floor:
                 r = ev[0]
+                stop = "cost"
                 break
             r, eq = linearize(theta)
             damping *= _LM_DOWN
@@ -632,6 +648,7 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
                 # sits at its numerical floor; only a streak with no accepted
                 # step at all signals a genuinely broken setup
                 if any(t["accepted"] for t in trace):
+                    stop = "rejections"
                     break
                 raise DivergedOptimization(
                     f"{rejected_run} consecutive rejected steps at cost {cost}")
@@ -641,7 +658,7 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     res = r.reshape(-1, 2)
     rms = float(np.sqrt(np.mean(res**2)))
     result = CalibrationResult(tpp, dist, poses, rms, residual_histogram(res), res)
-    return result, trace
+    return result, trace, stop
 
 
 def calibrate(observations: Observations, board_points, setting: TppParams,
@@ -653,7 +670,7 @@ def calibrate(observations: Observations, board_points, setting: TppParams,
     """
     try:
         linear, _ = linear_calibrate(observations, board_points, setting)
-        refined, trace = refine(linear, observations, board_points, options)
+        refined, trace, stop = refine(linear, observations, board_points, options)
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"linear algebra failed: {exc}") from exc
-    return CalibrationOutput(linear, refined, setting, trace)
+    return CalibrationOutput(linear, refined, setting, trace, stop)

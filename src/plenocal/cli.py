@@ -92,8 +92,7 @@ def _load_simulate_config(args) -> dict:
         "max_rotation_deg": 40.0,
     }
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg.update(json.load(fh))
+        cfg.update(io.load_json(args.config))
     for key in ("poses", "sigma", "seed"):
         val = getattr(args, key)
         if val is not None:
@@ -215,6 +214,9 @@ def cmd_calibrate(args) -> int:
     except PlenocalError as exc:
         log.error("calibration failed: %s: %s", type(exc).__name__, exc)
         return EXIT_CALIBRATION
+    if output.stop == "max_iterations":
+        log.warning("refinement stopped at --max-iterations %d before converging",
+                    args.max_iterations)
     option_echo = {
         "optimize_distortion_centers": args.optimize_distortion_centers,
         "fix_xy_distortion": args.fix_xy_distortion,

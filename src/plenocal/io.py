@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,13 @@ def dump_json(path, payload: dict, *, compact: bool = False) -> None:
 
 
 def load_json(path) -> dict:
+    """The JSON object in ``path``; ValueError when its top level is not one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: top level is a JSON {type(payload).__name__}, "
+                         "not an object")
+    return payload
 
 
 def tpp_to_dict(tpp: TppParams) -> dict:
@@ -139,7 +145,8 @@ def write_observations(path, observations: Observations, *, board_rows: int,
 def read_observations(path):
     """Returns (observations, board_points_px dict, meta dict).
 
-    Raises ValueError on a non-finite pixel, on a (pose, point, lens) record
+    Raises ValueError on a pose id, point id or lens label that is not a JSON
+    integer, on a non-finite pixel, on a (pose, point, lens) record
     that appears more than once, on a point id off the board, and, when the
     file states a non-zero ``sensor_px``, on a pixel more than
     ``SENSOR_MARGIN`` sensor widths or heights outside the sensor.
@@ -154,17 +161,34 @@ def read_observations(path):
     points = {r * cols + c: np.array([c * cell[0] / pitch, r * cell[1] / pitch])
               for r in range(rows) for c in range(cols)}
     poses = payload["poses"]
+    for pose in poses:
+        if not _integral([pose["id"]]):
+            raise ValueError(f"{path}: pose id {pose['id']!r} is not a JSON integer")
     records = [rec for pose in poses for rec in pose["observations"]]
+    point_ids = [rec["point_id"] for rec in records]
+    lenses = [rec["lens"] for rec in records]
+    if not (_integral(point_ids) and _integral(chain.from_iterable(lenses))):
+        pose_id, rec = next((pose["id"], rec) for pose in poses
+                            for rec in pose["observations"]
+                            if not _integral([rec["point_id"], *rec["lens"]]))
+        raise ValueError(f"{path}: record (pose {pose_id}, point {rec['point_id']!r}, "
+                         f"lens {rec['lens']!r}) has an id or label that is not a "
+                         "JSON integer")
     observations = Observations(
-        np.repeat(np.array([int(pose["id"]) for pose in poses], dtype=np.int64),
+        np.repeat(np.array([pose["id"] for pose in poses], dtype=np.int64),
                   [len(pose["observations"]) for pose in poses]),
-        [rec["point_id"] for rec in records],
-        np.array([rec["lens"] for rec in records], dtype=np.int64).reshape(-1, 2),
+        point_ids,
+        np.array(lenses, dtype=np.int64).reshape(-1, 2),
         np.array([rec["pixel"] for rec in records], dtype=float).reshape(-1, 2))
     sensor_px = tuple(payload.get("sensor_px", (0, 0)))
     _check_records(path, observations, rows * cols, sensor_px)
     meta = {"board": board, "pixel_pitch_mm": pitch, "sensor_px": sensor_px}
     return observations, points, meta
+
+
+def _integral(values) -> bool:
+    """True when every value is a JSON integer: not a float, bool or string."""
+    return set(map(type, values)) <= {int}
 
 
 def _check_records(path, obs: Observations, n_points: int, sensor_px) -> None:
@@ -263,6 +287,7 @@ def write_report(path, output: CalibrationOutput, *, options: dict) -> None:
         "refinement": {
             "iterations": len(output.trace),
             "accepted_steps": sum(1 for t in output.trace if t["accepted"]),
+            "stop": output.stop,
             "trace": output.trace,
         },
     }
@@ -298,12 +323,16 @@ def write_centers(path, centers: MicroImageCenters) -> None:
 
 
 def read_centers(path) -> MicroImageCenters:
-    """Raises ValueError on a non-finite pixel and on a repeated label."""
+    """Raises ValueError on a label entry that is not a JSON integer, on a
+    non-finite pixel and on a repeated label."""
     payload = load_json(path)
     if payload.get("schema") != CENTERS_SCHEMA:
         raise ValueError(f"{path}: unexpected schema {payload.get('schema')!r}")
-    centers = MicroImageCenters([rec["label"] for rec in payload["centers"]],
-                                [rec["pixel"] for rec in payload["centers"]])
+    labels = [rec["label"] for rec in payload["centers"]]
+    if not _integral(chain.from_iterable(labels)):
+        label = next(ij for ij in labels if not _integral(ij))
+        raise ValueError(f"{path}: center label {label!r} is not two JSON integers")
+    centers = MicroImageCenters(labels, [rec["pixel"] for rec in payload["centers"]])
     bad = ~np.isfinite(centers.pixel).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}: non-finite pixel for center label "

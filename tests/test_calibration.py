@@ -7,8 +7,8 @@ import pytest
 from test_projection import densify, tilted_distortion
 
 from plenocal import simulator as sim
-from plenocal.calibration import (CalibrationResult, RefineOptions,
-                                  _NormalEquations, _q_entries,
+from plenocal.calibration import (_LM_DIAG_FLOOR, CalibrationResult,
+                                  RefineOptions, _NormalEquations, _q_entries,
                                   calibrate, estimate_homography,
                                   extrinsics_from_homography, linear_calibrate,
                                   orthonormality_defect, refine,
@@ -61,6 +61,24 @@ def decoded_bundles(P, pose, board_xy, f, f_prime, rays_per_point, rng):
         rays[:, 4] = f_prime
         entries.append((np.asarray(xy, float), rays))
     return entries
+
+
+def seed1_observations(camera, board, n_poses):
+    """Poses of seed 1 at sigma 0.3, noise seed 2."""
+    env = sim.default_envelope(camera, board)
+    return sim.synthesize_observations(camera, board, sim.generate_poses(n_poses, 1, env),
+                                       DistortionParams(), 0.3, 2)
+
+
+@pytest.fixture(scope="module")
+def observations12(camera, board):
+    return seed1_observations(camera, board, 12)
+
+
+@pytest.fixture(scope="module")
+def observations48(camera, board):
+    """About 23k observations."""
+    return seed1_observations(camera, board, 48)
 
 
 @pytest.fixture()
@@ -258,8 +276,8 @@ class TestRefine:
                                 tpp_truth.v_0, tpp_truth.f,
                                 f_prime=setting.f_prime),
             DistortionParams(), list(poses12), 0.0)
-        result, trace = refine(init, clean_observations, board_points,
-                               RefineOptions(sensor_size=camera.sensor_resolution))
+        result, trace, _ = refine(init, clean_observations, board_points,
+                                  RefineOptions(sensor_size=camera.sensor_resolution))
         assert len(trace) <= 2
         assert result.rms < 1e-9
 
@@ -269,8 +287,8 @@ class TestRefine:
                                      tpp_truth.u_0 * 1.1, tpp_truth.v_0 * 1.1,
                                      tpp_truth.f * 1.1, f_prime=setting.f_prime)
         init = CalibrationResult(bumped, DistortionParams(), list(poses12), 1.0)
-        result, trace = refine(init, clean_observations, board_points,
-                               RefineOptions(sensor_size=camera.sensor_resolution))
+        result, trace, _ = refine(init, clean_observations, board_points,
+                                  RefineOptions(sensor_size=camera.sensor_resolution))
         errs = intrinsic_errors(result.tpp, tpp_truth)
         assert max(errs.values()) < 1e-6
 
@@ -301,52 +319,86 @@ class TestRefine:
         d = out.refined.dist
         assert np.all(np.isfinite([d.x_c, d.y_c, d.u_c, d.v_c]))
 
-    @pytest.mark.parametrize("centers, frozen", [(False, [5, 6]), (True, [])],
-                             ids=["9-columns-s1-s2-frozen", "13-columns-free-centers"])
+    @pytest.mark.parametrize("centers, frozen, distorted",
+                             [(False, [5, 6], True), (True, [], True), (True, [], False)],
+                             ids=["9-columns-s1-s2-frozen", "13-columns-free-centers",
+                                  "13-columns-zero-center-columns"])
     def test_schur_step_matches_dense_step(self, noisy_observations, board_points,
-                                           poses12, tpp_truth, centers, frozen):
-        # one LM step on the reduced system equals the dense damped solve
+                                           poses12, tpp_truth, centers, frozen,
+                                           distorted):
+        # one LM step on the reduced system equals the dense solve of
+        # (A + damping D), D = diag(A) floored at _LM_DIAG_FLOOR of its mean
         obs = noisy_observations[::25]
         batch = observation_batch(obs, board_points, list(poses12))
         n_poses = batch.rvecs.shape[0]
-        dist = tilted_distortion(tpp_truth)
+        dist = tilted_distortion(tpp_truth) if distorted else DistortionParams()
         pixels, J_intr, J_pose = project_pixels(batch, tpp_truth, dist, jacobian=True,
                                                 optimize_centers=centers)
         J_intr = -np.delete(J_intr, frozen, axis=2)
         J_pose = -J_pose
         J = densify(J_intr, J_pose, batch.pose_index)
-        # unit columns keep the dense reference solve well conditioned
+        # column norms spread over three decades, so that diag(A) is far from a
+        # multiple of I; free centers at zero distortion give exactly zero
+        # columns, whose damping comes from the floor alone
         col = np.linalg.norm(J, axis=0)
+        assert (col == 0).any() != distorted
+        norms = 10.0 ** np.random.default_rng(5).uniform(-1.5, 1.5, col.size)
+        scale = np.divide(norms, col, out=np.zeros_like(col), where=col > 0)
         m = J_intr.shape[2]
-        J /= col
-        J_intr /= col[:m]
-        J_pose /= col[m:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
+        J *= scale
+        J_intr *= scale[:m]
+        J_pose *= scale[m:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
         r = (obs.pixel - pixels).reshape(-1)
         eq = _NormalEquations.from_blocks(
             J_intr, J_pose, r, np.searchsorted(batch.pose_index, np.arange(n_poses + 1)))
         A, g = J.T @ J, J.T @ r
-        assert eq.trace() == pytest.approx(np.trace(A), rel=1e-12)
         assert eq.grad_inf() == pytest.approx(np.abs(g).max(), rel=1e-12)
-        # at refine's initial damping entry by entry; at a thousandth of it
-        # (condition ~1e5) roundoff in either solve reaches single small
+        D = np.diag(np.maximum(np.diag(A), _LM_DIAG_FLOOR * np.diag(A).mean()))
+        # entry by entry at a damping of 1, where the damped system is well
+        # conditioned; at refine's initial damping (condition ~1e4 after
+        # Jacobi scaling) roundoff in either solve reaches single small
         # entries, so the steps are compared as vectors
-        for damping, entrywise in ((1e-3 * np.trace(A), True),
-                                   (1e-6 * np.trace(A), False)):
+        for damping, entrywise in ((1.0, True), (1e-3, False)):
             d_i, d_p = eq.step(damping)
             step = np.concatenate([d_i, d_p.reshape(-1)])
-            dense = np.linalg.solve(A + damping * np.eye(A.shape[0]), -g)
+            dense = np.linalg.solve(A + damping * D, -g)
             if entrywise:
                 np.testing.assert_allclose(step, dense, rtol=1e-10)
             else:
                 assert np.linalg.norm(step - dense) < 1e-10 * np.linalg.norm(dense)
+            # damping by a multiple of I would give another step
+            plain = np.linalg.lstsq(A + damping * np.eye(A.shape[0]), -g, rcond=None)[0]
+            assert np.linalg.norm(step - plain) > 1e-3 * np.linalg.norm(dense)
 
-    def test_memory_linear_in_observations(self, camera, board, board_points,
-                                           setting):
+    @pytest.mark.parametrize("dataset", ["noisy_observations", "observations12",
+                                         "observations48"])
+    def test_free_centers_cost_no_higher_than_fixed(self, request, dataset,
+                                                    board_points, setting, camera):
+        # free distortion centers refine a superset of the fixed-center model;
+        # their columns start at exactly zero, and without the floor of the
+        # damping diagonal the 12-pose set ends above the fixed-center cost
+        obs = request.getfixturevalue(dataset)
+        rms = {centers: calibrate(obs, board_points, setting, RefineOptions(
+                   optimize_distortion_centers=centers,
+                   sensor_size=camera.sensor_resolution)).refined.rms
+               for centers in (False, True)}
+        assert rms[True] <= rms[False]
+
+    def test_stop_reason(self, noisy_observations, board_points, setting, camera):
+        capped = calibrate(noisy_observations, board_points, setting,
+                           RefineOptions(max_iterations=3,
+                                         sensor_size=camera.sensor_resolution))
+        assert (len(capped.trace), capped.stop) == (3, "max_iterations")
+        out = calibrate(noisy_observations, board_points, setting,
+                        RefineOptions(sensor_size=camera.sensor_resolution))
+        assert out.stop in ("gradient", "step", "cost", "rejections")
+        assert len(out.trace) < 200
+
+    def test_memory_linear_in_observations(self, observations48, board_points,
+                                           setting, camera):
         # 48 poses, about 23k observations: a dense 2N x (9 + 6P) Jacobian
         # alone would take 105 MiB; the block form peaked at 21 MiB
-        env = sim.default_envelope(camera, board)
-        obs = sim.synthesize_observations(camera, board, sim.generate_poses(48, 1, env),
-                                          DistortionParams(), 0.3, 2)
+        obs = observations48
         initial, _ = linear_calibrate(obs, board_points, setting)
         tracemalloc.start()
         try:

@@ -8,7 +8,7 @@ import pytest
 from plenocal import io
 from plenocal.cli import main
 from plenocal.rectification import detect_centers, read_pgm, write_pgm
-from plenocal.simulator import default_setting
+from plenocal.simulator import default_setting, reference_camera
 
 
 def small_config(tmp_path, **overrides):
@@ -161,6 +161,43 @@ class TestCalibrate:
         assert run("calibrate", obs, "--out", tmp_path / "cal",
                    "--setting", setting_path) == 4
 
+    def test_stop_reason_and_iteration_cap_warning(self, tmp_path, caplog):
+        cfg = small_config(tmp_path, sigma=0.3)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 0
+        obs = tmp_path / "sim" / "observations.json"
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 0
+        refinement = io.read_report(tmp_path / "cal" / "report.json")["refinement"]
+        assert refinement["stop"] in ("gradient", "step", "cost", "rejections")
+        def warnings():
+            return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings() == []
+        assert run("calibrate", obs, "--out", tmp_path / "capped",
+                   "--max-iterations", 3) == 0
+        refinement = io.read_report(tmp_path / "capped" / "report.json")["refinement"]
+        assert (refinement["iterations"], refinement["stop"]) == (3, "max_iterations")
+        assert warnings() == ["refinement stopped at --max-iterations 3 before converging"]
+
+    def test_misaligned_chain_converges_before_the_cap(self, tmp_path):
+        # a rectified 12-pose chain on the reference sensor that crawled to
+        # the 200-iteration cap, at a mean intrinsic error of 0.181, while
+        # the damping was a multiple of the identity
+        sim, rect, cal, ev = (tmp_path / name for name in ("sim", "rect", "cal", "ev"))
+        assert run("simulate", "--out", sim, "--poses", 12, "--sigma", 0.3,
+                   "--seed", 424734013, "--white-image", "--misalign-deg",
+                   0.03200015513552813, 0.024000116351646103, 0.49839741621161077) == 0
+        setting = tmp_path / "setting.json"
+        io.dump_json(setting, io.tpp_to_dict(default_setting(reference_camera())))
+        assert run("rectify", sim / "observations.json", "--white-image",
+                   sim / "white.pgm", "--out", rect) == 0
+        assert run("calibrate", rect / "observations_rectified.json",
+                   "--setting", setting, "--out", cal) == 0
+        assert run("evaluate", cal / "report.json", sim / "ground_truth.json",
+                   "--out", ev) == 0
+        refinement = io.read_report(cal / "report.json")["refinement"]
+        assert refinement["iterations"] < 200
+        assert io.load_json(ev / "metrics.json")["refined"]["mean_intrinsic_error"] < 0.15
+        assert refinement["stop"] != "max_iterations"
+
     def test_noisy_rms_band(self, tmp_path):
         cfg = small_config(tmp_path, sigma=0.3, poses=8)
         simout = tmp_path / "sims"
@@ -247,6 +284,26 @@ class TestIngestValidation:
         obs = tampered_observations(sim_dir, tmp_path, off_board)
         assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
         assert "off the 25-point board" in caplog.text
+
+    @pytest.mark.parametrize("edit, record", [
+        (lambda p: p["poses"][0]["observations"][0]["lens"].__setitem__(0, 1000.5),
+         "lens [1000.5, "),
+        (lambda p: p["poses"][0]["observations"][0]["lens"].__setitem__(1, True),
+         ", True]"),
+        (lambda p: p["poses"][0]["observations"][0].update(point_id=3.0),
+         "point 3.0,"),
+        (lambda p: p["poses"][1].update(id=1.5), "pose id 1.5"),
+        (lambda p: p["poses"][1].update(id="1"), "pose id '1'")],
+        ids=["fractional-lens-label", "boolean-lens-label", "float-point-id",
+             "fractional-pose-id", "string-pose-id"])
+    def test_non_integer_id_or_label_exit_2(self, sim_dir, tmp_path, caplog,
+                                            edit, record):
+        obs = tampered_observations(sim_dir, tmp_path, edit)
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
+                   "--out", tmp_path / "rect") == 2
+        assert record in caplog.text
+        assert "not a JSON integer" in caplog.text
 
     @pytest.mark.parametrize("edit, command", [
         (no_poses, "calibrate"), (no_poses, "rectify"), (single_lens, "rectify")],
@@ -476,6 +533,15 @@ class TestRectifyCenters:
         assert run("rectify", white_run[0] / "observations.json",
                    "--centers", path, "--out", tmp_path / "r") == 2
 
+    @pytest.mark.parametrize("label", [[1.5, 2], [1, 2.0], [True, 2]],
+                             ids=["fractional", "integral-float", "boolean"])
+    def test_non_integer_label_exit_2(self, white_run, tmp_path, caplog, label):
+        path, _ = tampered_centers(white_run, tmp_path,
+                                   lambda p: p["centers"][7].update(label=label))
+        assert run("rectify", white_run[0] / "observations.json",
+                   "--centers", path, "--out", tmp_path / "r") == 2
+        assert f"center label {label!r} is not two JSON integers" in caplog.text
+
     @pytest.mark.parametrize("content", [None, "{not json"], ids=["missing", "not-json"])
     def test_unreadable_file_exit_2(self, sim_dir, tmp_path, content):
         path = tmp_path / "centers.json"
@@ -491,3 +557,23 @@ def test_calibrate_reports_are_deterministic(sim_dir, tmp_path):
         assert run("calibrate", sim_dir / "observations.json", "--out", out) == 0
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
     assert (a / "residuals.csv").read_bytes() == (b / "residuals.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    "calibrate", "calibrate-setting", "evaluate-report", "evaluate-truth",
+    "rectify-centers", "simulate-config"])
+def test_json_top_level_not_an_object_exit_2(sim_dir, report_path, tmp_path, caplog,
+                                             command):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    obs, truth = sim_dir / "observations.json", sim_dir / "ground_truth.json"
+    argv = {
+        "calibrate": ("calibrate", bad),
+        "calibrate-setting": ("calibrate", obs, "--setting", bad),
+        "evaluate-report": ("evaluate", bad, truth),
+        "evaluate-truth": ("evaluate", report_path, bad),
+        "rectify-centers": ("rectify", obs, "--centers", bad),
+        "simulate-config": ("simulate", "--config", bad),
+    }[command]
+    assert run(*argv, "--out", tmp_path / "out") == 2
+    assert "top level is a JSON list, not an object" in caplog.text

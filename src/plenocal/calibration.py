@@ -92,30 +92,31 @@ class CalibrationOutput:
     stop: str
 
 
-def estimate_homography(rays_per_point) -> np.ndarray:
+def estimate_homography(board_xy, counts, rays) -> np.ndarray:
     """Estimate the 4x3 homography from board points to decoded-ray space.
 
-    ``rays_per_point`` pairs each board (X, Y) with the (m, 5) array of
-    decoded rays of its projections in one raw image.  Board and ray
-    coordinates are both normalized before the null-space solve and the
-    result de-normalized, Frobenius-normalized, and sign-fixed so H[3, 2] > 0.
+    One pose's sites, site after site: ``board_xy`` (S, 2) board points,
+    ``counts`` (S,) decoded rays per site and ``rays`` (counts.sum(), 5) the
+    rays.  Board and ray coordinates are both normalized before the
+    null-space solve and the result de-normalized, Frobenius-normalized, and
+    sign-fixed so H[3, 2] > 0.
     """
-    if len(rays_per_point) < _MIN_BOARD_POINTS:
+    if len(board_xy) < _MIN_BOARD_POINTS:
         raise InsufficientData(
-            f"need at least {_MIN_BOARD_POINTS} board points, got {len(rays_per_point)}")
-    board = np.asarray([xy for xy, _ in rays_per_point], dtype=float)
-    counts = np.array([len(r) for _, r in rays_per_point])
+            f"need at least {_MIN_BOARD_POINTS} board points, got {len(board_xy)}")
     if np.any(counts < 2):
-        xy = rays_per_point[int(np.argmax(counts < 2))][0]
+        xy = board_xy[int(np.argmax(counts < 2))]
         raise InsufficientData(f"board point {tuple(xy)} has fewer than 2 decoded rays")
-    rays = np.vstack([r for _, r in rays_per_point])
 
-    board_n, Tb = _normalize_2d(board)
+    board_n, Tb = _normalize_2d(board_xy)
 
     # normalize ray coordinates: common planar shift and a global scale keep
     # the incidence rows balanced; both are exact similarities of the decoded
-    # 3D frame and are undone on H afterwards.
-    planar = np.vstack([np.vstack([r[:, 0:2], r[:, 2:4]]) for _, r in rays_per_point])
+    # 3D frame and are undone on H afterwards.  The planar points go site by
+    # site, x-y before u-v: H depends on that summation order in its last bits.
+    site = np.repeat(np.arange(len(counts)), counts)
+    order = np.argsort(2 * np.repeat(site, 2) + np.tile([0, 1], len(rays)), kind="stable")
+    planar = rays[:, 0:4].reshape(-1, 2)[order]
     shift = -planar.mean(axis=0)
     rms = np.sqrt(np.mean(np.sum((planar + shift) ** 2, axis=1)))
     scale = 1.0 if rms == 0.0 else math.sqrt(2.0) / rms
@@ -165,20 +166,6 @@ def _orthogonality_rows(H: np.ndarray) -> np.ndarray:
         h[2, 0] ** 2 - h[2, 1] ** 2,
     ])
     return np.stack([row_a, row_b])
-
-
-def _q_entries(k_xy: float, k_uv: float, u_0: float, v_0: float, f: float,
-               f_prime: float) -> np.ndarray:
-    """Exact distinct entries of P^-T P^-1 for the plane transform: the
-    paper's closed form of Q, kept as the reference the tests check."""
-    q11 = 1.0 / (f**2 * k_xy**2 * k_uv**2)
-    q13 = -u_0 * q11 / f_prime
-    q23 = -v_0 * q11 / f_prime
-    q33 = 1.0 / (f_prime**2 * k_xy**2) + (u_0**2 + v_0**2) * q11 / f_prime**2 \
-        + (k_uv - k_xy)**2 * q11 / f_prime**2
-    q34 = (k_uv - k_xy) * q11 * k_xy / f_prime
-    q44 = 1.0 / (f**2 * k_uv**2)
-    return np.array([q11, q13, q23, q33, q34, q44])
 
 
 def solve_q(homographies, f_prime: float
@@ -348,16 +335,19 @@ def setting_from_observations(observations: Observations, sensor_px) -> TppParam
 
 
 def _group_rays(observations: Observations, board_points, setting: TppParams):
-    """Per pose id, the (board XY, decoded ray array) pairs the DLT consumes:
-    one per (pose, point) pair with at least two rays, in table order."""
+    """Per pose id, in table order, ``estimate_homography``'s input: board xy,
+    ray counts and decoded rays of the pose's sites with at least two rays."""
     rays = decode_virtual_rays(observations.pixel, observations.lens, setting)
     starts, board_xy = board_sites(observations, board_points)
-    grouped: dict[int, list] = {}
-    for xy, a, b in zip(board_xy, starts[:-1].tolist(), starts[1:].tolist()):
-        entries = grouped.setdefault(int(observations.pose[a]), [])
-        if b - a >= 2:
-            entries.append((xy, rays[a:b]))
-    return grouped
+    counts = np.diff(starts)
+    kept = counts >= 2
+    site_pose = observations.pose[starts[:-1]][kept]
+    rays, board_xy, counts = rays[np.repeat(kept, counts)], board_xy[kept], counts[kept]
+    ends = np.append(0, np.cumsum(counts))
+    pose_ids = np.unique(observations.pose)
+    lo, hi = (np.searchsorted(site_pose, pose_ids, side) for side in ("left", "right"))
+    return {int(p): (board_xy[a:b], counts[a:b], rays[ends[a]:ends[b]])
+            for p, a, b in zip(pose_ids, lo, hi)}
 
 
 def linear_calibrate(observations: Observations, board_points, setting: TppParams
@@ -370,8 +360,7 @@ def linear_calibrate(observations: Observations, board_points, setting: TppParam
     grouped = _group_rays(observations, board_points, setting)
     if len(grouped) < 3:
         raise InsufficientPoses(f"need at least 3 poses, got {len(grouped)}")
-    homographies = {pid: estimate_homography(entries)
-                    for pid, entries in grouped.items()}
+    homographies = {pid: estimate_homography(*sites) for pid, sites in grouped.items()}
     k_xy, k_uv, u_0, v_0, f = solve_q(list(homographies.values()), setting.f_prime)
     P = projective_matrix(TppParams.isotropic(k_xy, k_uv, u_0, v_0, f,
                                               f_prime=setting.f_prime))
@@ -665,8 +654,10 @@ def calibrate(observations: Observations, board_points, setting: TppParams,
               options: RefineOptions | None = None) -> CalibrationOutput:
     """Full pipeline: closed-form initialization then damped least squares.
 
-    A linear-algebra failure inside either stage (say, a normalization that
-    overflowed on extreme pixel values) is raised as IllConditioned.
+    ``board_points`` is the (n_points, 2) array of board (X, Y) indexed by
+    point id, in the pixel units of the observations.  A linear-algebra
+    failure inside either stage (say, a normalization that overflowed on
+    extreme pixel values) is raised as IllConditioned.
     """
     try:
         linear, _ = linear_calibrate(observations, board_points, setting)

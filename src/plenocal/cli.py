@@ -195,6 +195,8 @@ def cmd_calibrate(args) -> int:
             setting = io.tpp_from_dict(io.load_json(args.setting))
         else:
             setting = setting_from_observations(observations, meta["sensor_px"])
+        if args.max_iterations < 1:
+            raise ConfigError("--max-iterations must be at least 1")
         if args.fixed_fprime is not None:
             if args.fixed_fprime <= 0:
                 raise ConfigError("--fixed-fprime must be positive")

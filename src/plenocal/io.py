@@ -143,23 +143,23 @@ def write_observations(path, observations: Observations, *, board_rows: int,
 
 
 def read_observations(path):
-    """Returns (observations, board_points_px dict, meta dict).
+    """Returns (observations, (n_points, 2) board pixels by point id, meta dict).
 
-    Raises ValueError on a pose id, point id or lens label that is not a JSON
-    integer, on a non-finite pixel, on a (pose, point, lens) record
-    that appears more than once, on a point id off the board, and, when the
-    file states a non-zero ``sensor_px``, on a pixel more than
-    ``SENSOR_MARGIN`` sensor widths or heights outside the sensor.
+    Raises ValueError on a board that ``BoardSpec`` refuses, a pixel pitch
+    that is not positive and finite, a pose id, point id or lens label that
+    is not a JSON integer, a non-finite pixel, a (pose, point, lens) record
+    that appears more than once, a point id off the board, and, when the
+    file states a non-zero ``sensor_px``, a pixel more than ``SENSOR_MARGIN``
+    sensor widths or heights outside the sensor.
     """
     payload = load_json(path)
     if payload.get("schema") != OBSERVATIONS_SCHEMA:
         raise ValueError(f"{path}: unexpected schema {payload.get('schema')!r}")
     board = payload["board"]
     pitch = float(payload["pixel_pitch_mm"])
-    cell = board["cell_mm"]
-    rows, cols = int(board["rows"]), int(board["cols"])
-    points = {r * cols + c: np.array([c * cell[0] / pitch, r * cell[1] / pitch])
-              for r in range(rows) for c in range(cols)}
+    if not 0.0 < pitch < np.inf:
+        raise ValueError(f"{path}: pixel_pitch_mm must be positive and finite, got {pitch}")
+    points = board_from_dict(board).points_mm() / pitch
     poses = payload["poses"]
     for pose in poses:
         if not _integral([pose["id"]]):
@@ -181,7 +181,7 @@ def read_observations(path):
         np.array(lenses, dtype=np.int64).reshape(-1, 2),
         np.array([rec["pixel"] for rec in records], dtype=float).reshape(-1, 2))
     sensor_px = tuple(payload.get("sensor_px", (0, 0)))
-    _check_records(path, observations, rows * cols, sensor_px)
+    _check_records(path, observations, len(points), sensor_px)
     meta = {"board": board, "pixel_pitch_mm": pitch, "sensor_px": sensor_px}
     return observations, points, meta
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BehindPlane, MissingReference
-from .rotation import rodrigues_matrices, rodrigues_matrix, rotation_basis_jacobians
+from .rotation import rodrigues_matrices, rotation_basis_jacobians
 from .tpp import TppParams
 
 _PLANE_TOL = 1e-12      # |Z_c - f| threshold (relative to max(1, |f|))
@@ -72,7 +72,7 @@ class Pose:
 
     @property
     def matrix(self) -> np.ndarray:
-        return rodrigues_matrix(self.rotation)
+        return rodrigues_matrices(self.rotation)[0]
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -290,47 +290,42 @@ def project_pixels(batch: ProjectionBatch, tpp: TppParams, dist: DistortionParam
     return pixels, J_intr, J_pose
 
 
-def _lookup(table, ids: np.ndarray, what: str) -> list:
-    """The entries of ``table`` (a dict keyed by id, or a sequence indexed
-    by id) for each id; MissingReference names the first unknown id."""
-    keys = list(table.keys()) if isinstance(table, dict) else range(len(table))
-    known = np.isin(ids, np.fromiter(keys, dtype=np.int64, count=len(keys)))
-    if not known.all():
-        raise MissingReference(
-            f"observation references unknown {what} {int(ids[np.argmin(known)])}")
-    return [table[k] for k in ids.tolist()]
-
-
 def board_sites(observations: Observations, board_points
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The sites of a table, one per (pose, point) pair: the row where each
     begins, then N, and each site's (X, Y) board point.
 
-    ``board_points`` maps point id -> (X, Y) board coordinates, as a dict or
-    a sequence indexed by id; MissingReference names an unknown id.
+    ``board_points`` is the (n_points, 2) array of board (X, Y) indexed by
+    point id; MissingReference names the smallest id outside it.
     """
+    board = np.array([board_points[k] for k in range(len(board_points))], float)
     pose, point = observations.pose, observations.point
+    outside = (point < 0) | (point >= len(board))
+    if outside.any():
+        raise MissingReference(
+            f"observation references unknown point {point[outside].min()}")
     first = np.ones(len(pose), dtype=bool)
     first[1:] = (pose[1:] != pose[:-1]) | (point[1:] != point[:-1])
-    starts = np.append(np.flatnonzero(first), len(pose))
-    point_ids, point_row = np.unique(point[first], return_inverse=True)
-    board = np.array([np.asarray(xy, dtype=float)[:2]
-                      for xy in _lookup(board_points, point_ids, "point")])
-    return starts, board.reshape(-1, 2)[point_row.reshape(-1)]
+    return np.append(np.flatnonzero(first), len(pose)), board.reshape(-1, 2)[point[first]]
 
 
 def observation_batch(observations: Observations, board_points, poses
                       ) -> ProjectionBatch:
     """The projection batch of an observation table, in its row order.
 
-    ``board_points`` maps point id -> (X, Y) board coordinates (Z = 0 plane);
-    ``poses`` maps pose id -> Pose.  Mappings may be dicts or sequences
-    indexed by id.  Pose rows follow the sorted distinct pose ids.
+    ``board_points`` is the (n_points, 2) board array of ``board_sites``;
+    ``poses`` maps pose id -> Pose, as a dict or a sequence indexed by id.
+    Pose rows follow the sorted distinct pose ids.
 
     Raises MissingReference for dangling pose or point ids.
     """
     pose_ids, pose_row = np.unique(observations.pose, return_inverse=True)
-    chosen = _lookup(poses, pose_ids, "pose")
+    keys = list(poses.keys()) if isinstance(poses, dict) else range(len(poses))
+    known = np.isin(pose_ids, np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    if not known.all():
+        raise MissingReference(
+            f"observation references unknown pose {pose_ids[np.argmin(known)]}")
+    chosen = [poses[k] for k in pose_ids.tolist()]
     starts, board_xy = board_sites(observations, board_points)
     first = starts[:-1]
     points_w = np.column_stack([board_xy, np.zeros(len(first))])
@@ -357,8 +352,9 @@ def residuals(observations: Observations, board_points, poses, tpp: TppParams,
               dist: DistortionParams):
     """Re-projection residuals (observed - predicted) and their RMS.
 
-    Residuals come in the table's (pose, point, lens) row order; the RMS is
-    taken over all 2N scalar components.
+    ``board_points`` and ``poses`` are as in ``observation_batch``.  Residuals
+    come in the table's (pose, point, lens) row order; the RMS is taken over
+    all 2N scalar components.
     """
     batch = observation_batch(observations, board_points, poses)
     res = observations.pixel - project_pixels(batch, tpp, dist)

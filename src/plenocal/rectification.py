@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 from .errors import (AmbiguousPitch, DegenerateConfiguration, DegenerateGeometry,
                      NoGridFound, PointAtInfinity, TooFewCenters)
 from .projection import Observations
-from .rotation import rodrigues_matrix
+from .rotation import rodrigues_matrices
 
 _PEAK_FRACTION = 0.2          # local maxima below this fraction of peak are noise
 _BACKGROUND_PERCENTILE = 20.0
@@ -62,7 +62,7 @@ class MlaMisalignmentSpec:
 
     @property
     def rotation_matrix(self) -> np.ndarray:
-        return rodrigues_matrix(self.rotation)
+        return rodrigues_matrices(self.rotation)[0]
 
 
 @dataclass(frozen=True)
@@ -96,13 +96,12 @@ def lens_positions(spec: MlaMisalignmentSpec, labels: np.ndarray) -> np.ndarray:
     return grid @ spec.rotation_matrix.T + spec.offset
 
 
-def project_centers(spec: MlaMisalignmentSpec, labels: np.ndarray) -> np.ndarray:
-    """Micro-image centers in axis-relative pixels for an (N, 2) label array.
+def project_centers(spec: MlaMisalignmentSpec, g: np.ndarray) -> np.ndarray:
+    """Micro-image centers in axis-relative pixels of (N, 3) lens positions.
 
     Each lens center is projected from the main-lens aperture origin onto the
     sensor plane at distance L + l and converted to pixels.
     """
-    g = lens_positions(spec, labels)
     if np.any(g[:, 2] <= 0.0):
         raise DegenerateGeometry("micro-lens center at or behind the aperture plane")
     depth = spec.offset[2] + spec.sensor_gap

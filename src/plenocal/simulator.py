@@ -222,9 +222,9 @@ def aligned_mla(spec: PhysicalCameraSpec,
 def micro_image_center_px(spec: PhysicalCameraSpec, labels: np.ndarray,
                           mla: MlaMisalignmentSpec | None = None) -> np.ndarray:
     """Raster-pixel micro-image centers for an (N, 2) label array."""
-    axis_px = project_centers(mla if mla is not None else aligned_mla(spec), labels)
+    mla = mla if mla is not None else aligned_mla(spec)
     origin = spec.sensor_origin[:2] / spec.pixel_pitch
-    return axis_px - origin
+    return project_centers(mla, lens_positions(mla, labels)) - origin
 
 
 def lens_index_range(spec: PhysicalCameraSpec) -> tuple[range, range]:
@@ -336,10 +336,10 @@ def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarr
                                    spec.main_focal)
         img = img[point]
         lens_pts = lens_positions(mla, labels)
+        centers = project_centers(mla, lens_pts) - spec.sensor_origin[:2] / spec.pixel_pitch
         t = (z_s - img[:, 2]) / (lens_pts[:, 2] - img[:, 2])
         hit = img[:, :2] + t[:, None] * (lens_pts[:, :2] - img[:, :2])
         pixels = (hit - spec.sensor_origin[:2]) / spec.pixel_pitch
-        centers = micro_image_center_px(spec, labels, mla)
 
     d = pixels - centers
     ok = (np.hypot(d[:, 0], d[:, 1]) <= radius) \

@@ -22,8 +22,7 @@ def board():
 
 @pytest.fixture(scope="session")
 def board_points(camera, board):
-    pts = board.points_mm() / camera.pixel_pitch
-    return {k: v for k, v in enumerate(pts)}
+    return board.points_mm() / camera.pixel_pitch
 
 
 @pytest.fixture(scope="session")

@@ -100,3 +100,20 @@ def test_white_image_is_a_uint16_raster(camera, white_image):
     # cli.simulate hands the raster to write_pgm as a 16-bit image
     assert white_image.dtype == np.uint16
     assert white_image.shape == (camera.height, camera.width)
+
+
+def test_calibrate_takes_the_board_as_a_dict_by_point_id(noisy_observations,
+                                                         board_points, setting, camera):
+    # the workloads hand calibrate dict(enumerate(points)), which indexes by
+    # point id as the (n_points, 2) array does; both give one result, bit for bit
+    options = calibration.RefineOptions(sensor_size=camera.sensor_resolution)
+    got = calibration.calibrate(noisy_observations, dict(enumerate(board_points)),
+                                setting, options)
+    want = calibration.calibrate(noisy_observations, board_points, setting, options)
+    assert (got.stop, got.trace) == (want.stop, want.trace)
+    for g, w in ((got.linear, want.linear), (got.refined, want.refined)):
+        assert (g.tpp, g.dist, g.rms) == (w.tpp, w.dist, w.rms)
+        for p, q in zip(g.poses, w.poses, strict=True):
+            np.testing.assert_array_equal(np.r_[p.rotation, p.translation],
+                                          np.r_[q.rotation, q.translation])
+        np.testing.assert_array_equal(g.residuals, w.residuals)

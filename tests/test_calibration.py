@@ -4,14 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import q_entries, rodrigues_matrix
 from test_projection import densify, tilted_distortion
 
 from plenocal import simulator as sim
 from plenocal.calibration import (_LM_DIAG_FLOOR, CalibrationResult,
-                                  RefineOptions, _NormalEquations, _q_entries,
-                                  calibrate, estimate_homography,
-                                  extrinsics_from_homography, linear_calibrate,
-                                  orthonormality_defect, refine,
+                                  RefineOptions, _NormalEquations, calibrate,
+                                  estimate_homography, extrinsics_from_homography,
+                                  linear_calibrate, orthonormality_defect, refine,
                                   scene_tpp_from_transform,
                                   setting_from_observations, solve_q)
 from plenocal.errors import (DegenerateBoard, IllConditioned, InsufficientData,
@@ -19,7 +19,6 @@ from plenocal.errors import (DegenerateBoard, IllConditioned, InsufficientData,
 from plenocal.evaluate import intrinsic_errors, pose_errors
 from plenocal.projection import (DistortionParams, Pose, observation_batch,
                                  project_pixels)
-from plenocal.rotation import rodrigues_matrix
 from plenocal.tpp import TppParams, projective_matrix
 
 
@@ -63,6 +62,13 @@ def decoded_bundles(P, pose, board_xy, f, f_prime, rays_per_point, rng):
     return entries
 
 
+def as_columns(entries):
+    """One pose's (board xy, rays) pairs as ``estimate_homography``'s
+    arrays: board xy per site, ray count per site, and the stacked rays."""
+    return (np.array([xy for xy, _ in entries]), np.array([len(r) for _, r in entries]),
+            np.vstack([r for _, r in entries]))
+
+
 def seed1_observations(camera, board, n_poses):
     """Poses of seed 1 at sigma 0.3, noise seed 2."""
     env = sim.default_envelope(camera, board)
@@ -94,7 +100,7 @@ class TestHomography:
         pose = Pose([0.2, -0.3, 0.1], [500.0, -300.0, 1.4e5])
         board = [(x * 6000.0, y * 6000.0) for x in range(3) for y in range(3)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 4, rng)
-        H = estimate_homography(entries)
+        H = estimate_homography(*as_columns(entries))
         H0 = synthetic_homography(P, pose)
         assert abs(float(np.sum(H * H0))) > 1.0 - 1e-10
 
@@ -105,7 +111,7 @@ class TestHomography:
         board = [(k * 5000.0, 2.0 * k * 5000.0) for k in range(8)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 3, rng)
         with pytest.raises(DegenerateBoard):
-            estimate_homography(entries)
+            estimate_homography(*as_columns(entries))
 
     def test_too_few_points(self, gauge_setup, setting):
         xd, P = gauge_setup
@@ -114,7 +120,7 @@ class TestHomography:
         board = [(x * 5000.0, y * 5000.0) for x in range(2) for y in range(2)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 3, rng)
         with pytest.raises(InsufficientData):
-            estimate_homography(entries)
+            estimate_homography(*as_columns(entries))
 
     def test_single_ray_point_rejected(self, gauge_setup, setting):
         xd, P = gauge_setup
@@ -124,7 +130,7 @@ class TestHomography:
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 2, rng)
         entries[0] = (entries[0][0], entries[0][1][:1])
         with pytest.raises(InsufficientData):
-            estimate_homography(entries)
+            estimate_homography(*as_columns(entries))
 
     def test_residual_grows_with_noise(self, camera, board, board_points, setting):
         from plenocal.calibration import _group_rays
@@ -138,10 +144,10 @@ class TestHomography:
                                               DistortionParams(), sigma, 9)
             grouped = _group_rays(obs, board_points, setting)
             vals = []
-            for pid, entries in grouped.items():
-                H = estimate_homography(entries)
-                for xy, rays in entries:
-                    M = incidence_matrix(rays)
+            for board_xy, counts, rays in grouped.values():
+                H = estimate_homography(board_xy, counts, rays)
+                for xy, r in zip(board_xy, np.split(rays, np.cumsum(counts)[:-1])):
+                    M = incidence_matrix(r)
                     vals.append(np.linalg.norm(M @ H @ np.append(xy, 1.0)))
             means.append(np.mean(vals))
         assert means == sorted(means)
@@ -154,7 +160,7 @@ class TestSolveQ:
                             tpp_truth):
         from plenocal.calibration import _group_rays
         grouped = _group_rays(clean_observations, board_points, setting)
-        hs = [estimate_homography(entries) for _, entries in sorted(grouped.items())]
+        hs = [estimate_homography(*sites) for _, sites in sorted(grouped.items())]
         xd = transform_params(setting, tpp_truth)
         np.testing.assert_allclose(solve_q(hs, setting.f_prime),
                                    [xd.k_x, xd.k_u, xd.u_0, xd.v_0, xd.f], rtol=1e-8)
@@ -196,14 +202,14 @@ class TestClosedForm:
             rng.uniform(0.1, 10.0)      # unused Q-scale draw keeps seed 5's sequence
             q = self.q_from_matrix(params)
             np.testing.assert_allclose(
-                _q_entries(k_xy, k_uv, params.u_0, params.v_0, params.f, params.f_prime),
+                q_entries(k_xy, k_uv, params.u_0, params.v_0, params.f, params.f_prime),
                 q, rtol=1e-12)
 
     def test_symmetric_camera_branch(self):
         params = TppParams.isotropic(0.8, 0.8, 0.0, 0.0, 2000.0, f_prime=300.0)
         q = self.q_from_matrix(params)
         assert q[1] == q[2] == q[4] == 0.0
-        np.testing.assert_allclose(_q_entries(0.8, 0.8, 0.0, 0.0, 2000.0, 300.0), q,
+        np.testing.assert_allclose(q_entries(0.8, 0.8, 0.0, 0.0, 2000.0, 300.0), q,
                                    rtol=1e-12)
 
     def test_full_pipeline_loop_closure(self, clean_observations, board_points,
@@ -258,12 +264,12 @@ class TestExtrinsics:
             poses = sim.generate_poses(4, 11, env)
             obs = sim.synthesize_observations(camera, board, poses,
                                               DistortionParams(), 0.5, 13)
-            pts = {k: v for k, v in enumerate(board.points_mm() / camera.pixel_pitch)}
+            pts = board.points_mm() / camera.pixel_pitch
             result, xd = linear_calibrate(obs, pts, setting)
             P = projective_matrix(TppParams.isotropic(*xd, f_prime=setting.f_prime))
             grouped = _group_rays(obs, pts, setting)
-            defects = [orthonormality_defect(estimate_homography(entries), P)
-                       for _, entries in grouped.items()]
+            defects = [orthonormality_defect(estimate_homography(*sites), P)
+                       for sites in grouped.values()]
             rng_defects[rows * cols] = np.median(defects)
         assert rng_defects[80] < rng_defects[20]
 
@@ -453,7 +459,7 @@ class TestStability:
             poses = sim.generate_poses(8, 21, env)
             obs = sim.synthesize_observations(camera, board, poses,
                                               DistortionParams(), 0.3, 23)
-            pts = {k: v for k, v in enumerate(board.points_mm() / camera.pixel_pitch)}
+            pts = board.points_mm() / camera.pixel_pitch
             out = calibrate(obs, pts, setting,
                             RefineOptions(sensor_size=camera.sensor_resolution))
             results[rows * cols] = out.refined.tpp

@@ -158,8 +158,16 @@ class TestCalibrate:
         setting_path = tmp_path / "setting.json"
         setting_path.write_text(json.dumps(
             io.read_ground_truth(sim_dir / "ground_truth.json")["setting"]))
-        assert run("calibrate", obs, "--out", tmp_path / "cal",
-                   "--setting", setting_path) == 4
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert run("calibrate", obs, "--out", tmp_path / "cal",
+                       "--setting", setting_path) == 4
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_max_iterations_below_one_exit_2(self, sim_dir, tmp_path, caplog, n):
+        assert run("calibrate", sim_dir / "observations.json", "--out", tmp_path / "cal",
+                   "--max-iterations", n) == 2
+        assert "--max-iterations must be at least 1" in caplog.text
+        assert not (tmp_path / "cal" / "report.json").exists()
 
     def test_stop_reason_and_iteration_cap_warning(self, tmp_path, caplog):
         cfg = small_config(tmp_path, sigma=0.3)
@@ -284,6 +292,18 @@ class TestIngestValidation:
         obs = tampered_observations(sim_dir, tmp_path, off_board)
         assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
         assert "off the 25-point board" in caplog.text
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"board": {"rows": 5, "cols": 5, "cell_mm": [0.0, 54.0]}},
+         "cell size must be positive"),
+        ({"board": {"rows": 1, "cols": 25, "cell_mm": [54.0, 54.0]}}, "at least 2 rows"),
+        ({"pixel_pitch_mm": 0.0}, "pixel_pitch_mm must be positive and finite"),
+        ({"pixel_pitch_mm": float("inf")}, "pixel_pitch_mm must be positive and finite"),
+    ], ids=["zero-cell", "one-row", "zero-pitch", "infinite-pitch"])
+    def test_malformed_board_exit_2(self, sim_dir, tmp_path, caplog, fields, message):
+        obs = tampered_observations(sim_dir, tmp_path, lambda p: p.update(fields))
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert message in caplog.text
 
     @pytest.mark.parametrize("edit, record", [
         (lambda p: p["poses"][0]["observations"][0]["lens"].__setitem__(0, 1000.5),

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import rodrigues_matrix, rotate_points_jacobian
 
 from plenocal import io
 from plenocal.errors import BehindPlane, MissingReference
@@ -11,8 +12,7 @@ from plenocal.projection import (INTRINSIC_NAMES, DistortionParams, Observations
                                  Pose, ProjectionBatch, _distort_jacobian,
                                  _radial_factors, observation_batch, project_pixels,
                                  residuals)
-from plenocal.rotation import (rodrigues_matrices, rodrigues_matrix,
-                               rotate_points_jacobian, rotation_basis_jacobians)
+from plenocal.rotation import rodrigues_matrices, rotation_basis_jacobians
 from plenocal.tpp import TppParams, decode_virtual_rays, incidence_matrix
 
 
@@ -351,9 +351,10 @@ def test_jacobian_matches_finite_differences(optimize_centers):
 
 def test_rigid_motion_matches_per_pose_rotation():
     """The rotations and basis derivatives of all poses at once equal each
-    pose's own, bit for bit, and sum_b p_b G(e_b) gives the derivative at any
-    point; pose 0 takes the small-angle branch, and the points leave the
-    board plane so every basis term counts."""
+    pose's own scalar reference, bit for bit, as does ``Pose.matrix``, and
+    sum_b p_b G(e_b) gives the derivative at any point; pose 0 takes the
+    small-angle branch, and the points leave the board plane so every basis
+    term counts."""
     rng = np.random.default_rng(6)
     n_poses, n = 4, 200
     rvecs = rng.normal(size=(n_poses, 3)) * 0.5
@@ -362,6 +363,7 @@ def test_rigid_motion_matches_per_pose_rotation():
     R, G = rodrigues_matrices(rvecs), rotation_basis_jacobians(rvecs)
     for p in range(n_poses):
         np.testing.assert_array_equal(R[p], rodrigues_matrix(rvecs[p]))
+        np.testing.assert_array_equal(Pose(rvecs[p], np.zeros(3)).matrix, R[p])
         np.testing.assert_array_equal(G[p], rotate_points_jacobian(rvecs[p], np.eye(3)))
         ref = rotate_points_jacobian(rvecs[p], pts)
         got = np.einsum("nb,bac->nac", pts, G[p])

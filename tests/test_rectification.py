@@ -17,7 +17,7 @@ from plenocal.errors import (AmbiguousPitch, DegenerateConfiguration,
 from plenocal.projection import Observations
 from plenocal.rectification import (MicroImageCenters, MlaMisalignmentSpec,
                                     apply_homography, detect_centers,
-                                    estimate_rectifying_homography,
+                                    estimate_rectifying_homography, lens_positions,
                                     project_centers, read_pgm,
                                     rectify_observations, row_slopes, write_pgm)
 
@@ -26,6 +26,11 @@ def make_mla(rotation=(0.0, 0.0, 0.0), offset=(0.0, 0.0, 65.0)):
     return MlaMisalignmentSpec(rotation=np.asarray(rotation, float),
                                offset=np.asarray(offset, float),
                                lens_pitch=0.3, sensor_gap=3.4, pixel_pitch=0.009)
+
+
+def mla_centers(mla, labels):
+    """Axis-relative micro-image centers of the labelled lenses."""
+    return project_centers(mla, lens_positions(mla, labels))
 
 
 def label_grid(ni, nj):
@@ -105,7 +110,7 @@ class TestProjectCenter:
     def test_identity_rotation_uniform_grid(self):
         mla = make_mla()
         labels = label_grid(10, 8)
-        c = project_centers(mla, labels)
+        c = mla_centers(mla, labels)
         mag = (mla.offset[2] + mla.sensor_gap) / mla.offset[2]
         expected = labels * (mla.lens_pitch * mag / mla.pixel_pitch)
         np.testing.assert_allclose(c, expected, atol=1e-9)
@@ -117,7 +122,7 @@ class TestProjectCenter:
 
     def test_reference_lens_any_rotation(self):
         mla = make_mla(rotation=(0.02, -0.015, 0.4), offset=(1.5, -2.5, 65.0))
-        c = project_centers(mla, np.array([[0, 0]]))[0]
+        c = mla_centers(mla, [[0, 0]])[0]
         mag = (mla.offset[2] + mla.sensor_gap) / mla.offset[2]
         np.testing.assert_allclose(c,
                                    (mag * 1.5 / 0.009, mag * -2.5 / 0.009))
@@ -125,7 +130,7 @@ class TestProjectCenter:
     def test_y_rotation_slopes_descend_linearly(self):
         mla = make_mla(rotation=(0.0, np.radians(0.5), 0.0))
         labels = label_grid(40, 20)
-        slopes = row_slopes(MicroImageCenters(labels, project_centers(mla, labels)))
+        slopes = row_slopes(MicroImageCenters(labels, mla_centers(mla, labels)))
         js = np.array([j for j, _ in slopes], float)
         vs = np.array([s for _, s in slopes])
         coef = np.polyfit(js, vs, 1)
@@ -137,7 +142,7 @@ class TestProjectCenter:
         mla = make_mla(rotation=(0.0, np.radians(89.0), 0.0),
                        offset=(0.0, 0.0, 1.0))
         with pytest.raises(DegenerateGeometry):
-            project_centers(mla, np.array([[40, 0]]))
+            mla_centers(mla, [[40, 0]])
 
 
 class TestMicroImageCenters:
@@ -187,7 +192,7 @@ class TestRectifyingHomography:
     def test_misalignment_round_trip(self):
         mla = make_mla(rotation=np.radians([0.1, 0.5, 0.2]))
         labels = label_grid(40, 25)
-        centers = MicroImageCenters(labels, project_centers(mla, labels))
+        centers = MicroImageCenters(labels, mla_centers(mla, labels))
         fit = estimate_rectifying_homography(centers)
         assert fit.rms < 0.05
 
@@ -198,7 +203,7 @@ class TestRectifyingHomography:
             axis /= np.linalg.norm(axis)
             mla = make_mla(rotation=np.radians(deg) * axis)
             labels = label_grid(40, 25)
-            centers = MicroImageCenters(labels, project_centers(mla, labels))
+            centers = MicroImageCenters(labels, mla_centers(mla, labels))
             before = row_slopes(centers)
             fit = estimate_rectifying_homography(centers)
             after = row_slopes(rectify_observations(centers, fit.homography))
@@ -209,7 +214,7 @@ class TestRectifyingHomography:
     def test_refit_on_own_output_is_identity(self):
         mla = make_mla(rotation=np.radians([0.0, 0.6, 0.1]))
         labels = label_grid(30, 20)
-        centers = MicroImageCenters(labels, project_centers(mla, labels))
+        centers = MicroImageCenters(labels, mla_centers(mla, labels))
         fit = estimate_rectifying_homography(centers)
         refit = estimate_rectifying_homography(
             rectify_observations(centers, fit.homography))

@@ -13,7 +13,7 @@ from .calibration import (CalibrationOutput, CalibrationResult, RefineOptions,
                           linear_calibrate, refine, scene_tpp_from_transform,
                           solve_q)
 from .evaluate import intrinsic_errors, mean_intrinsic_error, pose_errors
-from .projection import DistortionParams, Observations, Pose, residuals
+from .projection import DistortionParams, Observations, residuals
 from .rectification import (MicroImageCenters, MlaMisalignmentSpec, detect_centers,
                             estimate_rectifying_homography, project_centers,
                             read_pgm, rectify_observations, row_slopes, write_pgm)

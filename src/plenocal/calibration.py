@@ -25,9 +25,8 @@ import numpy as np
 
 from .errors import (BehindPlane, DegenerateBoard, DivergedOptimization,
                      IllConditioned, InsufficientData, InsufficientPoses,
-                     MissingReference, NegativeDiscriminant, NonFiniteResidual,
-                     ReflectionDetected)
-from .projection import (DistortionParams, Observations, Pose, _unique_rows,
+                     NegativeDiscriminant, NonFiniteResidual, ReflectionDetected)
+from .projection import (DistortionParams, Observations, _unique_rows,
                          board_sites, observation_batch, project_pixels, residuals)
 from .rotation import nearest_rotation, rodrigues_vector
 from .rectification import _normalize_2d
@@ -52,13 +51,14 @@ _STEP_TOL = 1e-12
 class CalibrationResult:
     """Calibrated scene-side camera, distortion, per-pose extrinsics, residuals.
 
-    ``residuals`` holds the (N, 2) re-projection residuals (observed -
-    predicted) in the row order of the observation table, when known.
+    ``poses`` holds one [rvec | tvec] row per distinct pose id of the
+    observation table, in sorted id order; ``residuals`` the (N, 2)
+    re-projection residuals (observed - predicted) in its row order, when known.
     """
 
     tpp: TppParams
     dist: DistortionParams
-    poses: list[Pose]
+    poses: np.ndarray
     rms: float
     residual_histogram: list[tuple[float, int]] = field(default_factory=list)
     residuals: np.ndarray | None = field(default=None, repr=False)
@@ -253,8 +253,9 @@ def solve_q(homographies, f_prime: float
     return k_x, k_u, u_0, v_0, f
 
 
-def extrinsics_from_homography(H: np.ndarray, P: np.ndarray) -> Pose:
-    """Recover the board pose from its homography and the plane transform.
+def extrinsics_from_homography(H: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Recover the board pose, as one [rvec | tvec] row, from its homography
+    and the plane transform.
 
     The first two columns of P^-1 H are the rotation columns up to a common
     scale; the third carries the translation with a unit fourth component,
@@ -275,7 +276,7 @@ def extrinsics_from_homography(H: np.ndarray, P: np.ndarray) -> Pose:
     if np.linalg.det(R) < 0:
         raise ReflectionDetected("recovered rotation is a reflection")
     t = C[:3, 2] / n1
-    return Pose(rodrigues_vector(R), t)
+    return np.concatenate([rodrigues_vector(R), t])
 
 
 def orthonormality_defect(H: np.ndarray, P: np.ndarray) -> float:
@@ -360,84 +361,64 @@ def linear_calibrate(observations: Observations, board_points, setting: TppParam
     grouped = _group_rays(observations, board_points, setting)
     if len(grouped) < 3:
         raise InsufficientPoses(f"need at least 3 poses, got {len(grouped)}")
-    homographies = {pid: estimate_homography(*sites) for pid, sites in grouped.items()}
-    k_xy, k_uv, u_0, v_0, f = solve_q(list(homographies.values()), setting.f_prime)
+    homographies = [estimate_homography(*sites) for sites in grouped.values()]
+    k_xy, k_uv, u_0, v_0, f = solve_q(homographies, setting.f_prime)
     P = projective_matrix(TppParams.isotropic(k_xy, k_uv, u_0, v_0, f,
                                               f_prime=setting.f_prime))
-    poses = {pid: extrinsics_from_homography(H, P) for pid, H in homographies.items()}
+    poses = np.array([extrinsics_from_homography(H, P) for H in homographies])
     tpp = scene_tpp_from_transform(k_xy, k_uv, u_0, v_0, f, setting)
     res, rms = residuals(observations, board_points, poses, tpp, DistortionParams())
-    result = CalibrationResult(tpp, DistortionParams(), list(poses.values()), rms,
+    result = CalibrationResult(tpp, DistortionParams(), poses, rms,
                                residual_histogram(res), res)
     return result, (k_xy, k_uv, u_0, v_0, f)
 
 
 # --- nonlinear refinement -------------------------------------------------------
 
-def _default_centers(tpp: TppParams, observed: np.ndarray,
-                     options: RefineOptions) -> tuple[float, float, float, float]:
-    """Fixed distortion centers: image-center on x-y, the u-v offset on u-v."""
+def _default_centers(initial: CalibrationResult, observed: np.ndarray,
+                     options: RefineOptions) -> DistortionParams:
+    """The initial distortion with the default centers: image-center on x-y,
+    the u-v offset on u-v."""
     if options.sensor_size is not None:
         cx, cy = options.sensor_size[0] / 2.0, options.sensor_size[1] / 2.0
     else:
         cx, cy = observed.mean(axis=0)
-    return tpp.k_x * cx, tpp.k_x * cy, tpp.u_0, tpp.v_0
+    tpp = initial.tpp
+    return replace(initial.dist, x_c=tpp.k_x * cx, y_c=tpp.k_x * cy, u_c=tpp.u_0,
+                   v_c=tpp.v_0)
 
 
-def _pack(tpp: TppParams, dist: DistortionParams, poses, centers: bool) -> np.ndarray:
-    head = [tpp.k_x, tpp.k_u, tpp.u_0, tpp.v_0, tpp.f,
-            dist.s1, dist.s2, dist.t1, dist.t2]
-    if centers:
-        head += [dist.x_c, dist.y_c, dist.u_c, dist.v_c]
-    tail = []
-    for p in poses:
-        tail.extend(p.rotation)
-        tail.extend(p.translation)
-    return np.array(head + tail, dtype=float)
+def _pack(tpp: TppParams, dist: DistortionParams, poses) -> np.ndarray:
+    """The 13 intrinsics (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2, x_c, y_c,
+    u_c, v_c), then the [rvec | tvec] pose rows."""
+    head = [tpp.k_x, tpp.k_u, tpp.u_0, tpp.v_0, tpp.f, dist.s1, dist.s2, dist.t1,
+            dist.t2, dist.x_c, dist.y_c, dist.u_c, dist.v_c]
+    return np.concatenate([head, np.ravel(poses)])
 
 
-def _unpack(theta: np.ndarray, n_poses: int, centers: bool,
-            fixed_centers, f_prime: float):
-    """Camera, distortion, and the (P, 6) (rvec, tvec) rows of the poses."""
-    k_xy, k_uv, u_0, v_0, f = theta[:5]
-    s1, s2, t1, t2 = theta[5:9]
-    base = 9
-    if centers:
-        x_c, y_c, u_c, v_c = theta[9:13]
-        base = 13
-    else:
-        x_c, y_c, u_c, v_c = fixed_centers
-    tpp = TppParams.isotropic(k_xy, k_uv, u_0, v_0, f, f_prime=f_prime)
-    dist = DistortionParams(s1, s2, t1, t2, x_c, y_c, u_c, v_c)
-    return tpp, dist, theta[base:].reshape(n_poses, 6)
+def _unpack(theta: np.ndarray, f_prime: float):
+    """Camera, distortion, and the (P, 6) [rvec | tvec] rows of the poses."""
+    tpp = TppParams.isotropic(*theta[:5], f_prime=f_prime)
+    return tpp, DistortionParams(*theta[5:13]), theta[13:].reshape(-1, 6)
 
 
-def _parameter_scales(theta0: np.ndarray, tpp: TppParams, lenses: np.ndarray,
-                      observed: np.ndarray, fixed_centers, n_poses: int,
-                      centers: bool) -> np.ndarray:
+def _parameter_scales(theta0: np.ndarray, lenses: np.ndarray,
+                      observed: np.ndarray) -> np.ndarray:
     """Characteristic magnitudes for conditioning the scaled normal equations."""
-    x_c, y_c, u_c, v_c = fixed_centers
-    uu = tpp.k_u * lenses[:, 0] + tpp.u_0 - u_c
-    vv = tpp.k_u * lenses[:, 1] + tpp.v_0 - v_c
+    k_xy, k_uv, u_0, v_0, f = theta0[:5]
+    x_c, y_c, u_c, v_c = theta0[9:13]
+    uu = k_uv * lenses[:, 0] + u_0 - u_c
+    vv = k_uv * lenses[:, 1] + v_0 - v_c
     r_uv = max(1.0, float(np.sqrt(np.mean(uu**2 + vv**2))))
-    xx = tpp.k_x * observed[:, 0] - x_c
-    yy = tpp.k_x * observed[:, 1] - y_c
+    xx = k_xy * observed[:, 0] - x_c
+    yy = k_xy * observed[:, 1] - y_c
     r_xy = max(1.0, float(np.sqrt(np.mean(xx**2 + yy**2))))
-    head = [abs(theta0[0]), abs(theta0[1]),
-            max(abs(theta0[2]), theta0[1]), max(abs(theta0[3]), theta0[1]),
-            abs(theta0[4]),
-            r_xy**-2, r_xy**-4, r_uv**-2, r_uv**-4]
-    if centers:
-        head += [r_xy, r_xy, r_uv, r_uv]
-    scales = np.ones_like(theta0)
-    scales[:len(head)] = head
-    base = len(head)
-    for p in range(n_poses):
-        off = base + 6 * p
-        scales[off:off + 3] = 1.0
-        t = theta0[off + 3:off + 6]
-        scales[off + 3:off + 6] = np.maximum(np.abs(t), max(1.0, abs(theta0[4])))
-    return scales
+    head = [abs(k_xy), abs(k_uv), max(abs(u_0), k_uv), max(abs(v_0), k_uv), abs(f),
+            r_xy**-2, r_xy**-4, r_uv**-2, r_uv**-4, r_xy, r_xy, r_uv, r_uv]
+    # rotations are O(1); translations share the pose's depth scale
+    poses = np.ones(((theta0.size - 13) // 6, 6))
+    poses[:, 3:] = np.maximum(np.abs(theta0[13:].reshape(-1, 6)[:, 3:]), max(1.0, abs(f)))
+    return np.concatenate([head, poses.ravel()])
 
 
 @dataclass(frozen=True)
@@ -512,11 +493,12 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     """Minimize the re-projection error by damped least squares.
 
     Optimizes (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2) plus every pose, and
-    optionally the two distortion centers; the decode-plane separation stays
-    a fixed convention.  Accepted steps never increase the cost; the damping,
-    relative to the floored diagonal of J^T J, is scaled up by 10 on
-    rejection and down by 10 on acceptance.  Each step is solved on the
-    reduced intrinsic system (see ``_NormalEquations``).  The refinement
+    optionally the distortion centers (x_c, y_c, u_c, v_c): theta holds all
+    13 and the pose rows, and a mask freezes the rest.  The decode-plane
+    separation stays a fixed convention.  Accepted steps never increase the
+    cost; the damping, relative to the floored diagonal of J^T J, is scaled
+    up by 10 on rejection and down by 10 on acceptance.  Each step is solved
+    on the reduced intrinsic system (see ``_NormalEquations``).  The refinement
     stops once the gradient has shrunk by ``_GRAD_TOL`` ("gradient"), the
     step vanishes ("step"), an accepted step lowers the cost by less than
     ``_COST_TOL`` of it ("cost"; the cost then sits at its numerical floor),
@@ -529,42 +511,34 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     options = options or RefineOptions()
     if len(initial.poses) < 3:
         raise InsufficientPoses(f"refinement needs >= 3 poses, got {len(initial.poses)}")
-    seen_ids = np.unique(observations.pose).tolist()
-    if len(seen_ids) != len(initial.poses):
-        raise MissingReference(
-            f"{len(initial.poses)} initial poses for {len(seen_ids)} pose ids")
-    batch = observation_batch(observations, board_points,
-                              dict(zip(seen_ids, initial.poses)))
+    batch = observation_batch(observations, board_points, initial.poses)
     observed = observations.pixel
-    n_poses = len(seen_ids)
+    n_poses = len(initial.poses)
     pose_index = batch.pose_index
     # the table is sorted by pose, so each pose owns one slice of rows
     starts = np.searchsorted(pose_index, np.arange(n_poses + 1))
     centers = options.optimize_distortion_centers
-    n_intr = 13 if centers else 9
-    fixed_centers = _default_centers(initial.tpp, observed, options)
-    dist0 = replace(initial.dist, x_c=fixed_centers[0], y_c=fixed_centers[1],
-                    u_c=fixed_centers[2], v_c=fixed_centers[3])
     f_prime = initial.tpp.f_prime
 
-    theta = _pack(initial.tpp, dist0, initial.poses, centers)
-    scales = _parameter_scales(theta, initial.tpp, observations.lens, observed,
-                               fixed_centers, n_poses, centers)
+    theta = _pack(initial.tpp, _default_centers(initial, observed, options), initial.poses)
+    scales = _parameter_scales(theta, observations.lens, observed)
     active = np.ones(theta.size, dtype=bool)
     if not options.optimize_xy_distortion:
         active[5:7] = False              # freeze s1, s2 at their initial values
-    intr_scales = -scales[:n_intr][active[:n_intr]]
-    pose_scales = -scales[n_intr:].reshape(n_poses, 6)[pose_index][:, None, :]
+    active[9:13] = centers               # and the centers at their defaults
+    # project_pixels returns the 4 center columns only when they are free
+    intr_active = active[:13 if centers else 9]
+    intr_scales = -scales[:13][active[:13]]
+    pose_scales = -scales[13:].reshape(n_poses, 6)[pose_index][:, None, :]
 
     def evaluate(th: np.ndarray, with_jacobian: bool):
         """Residuals (flattened) and optionally the prediction Jacobian
         blocks; None when the candidate parameters are not evaluable."""
         try:
-            tpp, dist, pose_rows = _unpack(th, n_poses, centers, fixed_centers, f_prime)
+            tpp, dist, pose_rows = _unpack(th, f_prime)
             if not np.all(np.isfinite(pose_rows)):
                 raise ValueError("pose components must be finite")
-            posed = replace(batch, rvecs=np.ascontiguousarray(pose_rows[:, :3]),
-                            tvecs=np.ascontiguousarray(pose_rows[:, 3:]))
+            posed = replace(batch, rvecs=pose_rows[:, :3], tvecs=pose_rows[:, 3:])
             out = project_pixels(posed, tpp, dist,
                                  jacobian=with_jacobian, optimize_centers=centers)
         except (ValueError, BehindPlane):
@@ -584,8 +558,8 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
         r, (J_intr, J_pose) = ev
         if not (np.all(np.isfinite(J_intr)) and np.all(np.isfinite(J_pose))):
             raise NonFiniteResidual("Jacobian evaluation produced NaN/Inf")
-        if not active.all():
-            J_intr = J_intr[:, :, active[:n_intr]]
+        if not intr_active.all():
+            J_intr = J_intr[:, :, intr_active]
         # residual Jacobian in scaled space
         J_intr *= intr_scales
         J_pose *= pose_scales
@@ -610,9 +584,8 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
         if step_norm < _STEP_TOL:
             stop = "step"
             break
-        delta = np.zeros(theta.size)
-        delta[active] = step
-        candidate = theta + delta * scales
+        candidate = theta.copy()
+        candidate[active] += step * scales[active]
         ev = evaluate(candidate, False)
         new_cost = float(ev[0] @ ev[0]) if ev is not None else math.inf
         accepted = new_cost < cost
@@ -642,8 +615,7 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
                 raise DivergedOptimization(
                     f"{rejected_run} consecutive rejected steps at cost {cost}")
 
-    tpp, dist, pose_rows = _unpack(theta, n_poses, centers, fixed_centers, f_prime)
-    poses = [Pose(row[:3], row[3:]) for row in pose_rows]
+    tpp, dist, poses = _unpack(theta, f_prime)
     res = r.reshape(-1, 2)
     rms = float(np.sqrt(np.mean(res**2)))
     result = CalibrationResult(tpp, dist, poses, rms, residual_histogram(res), res)

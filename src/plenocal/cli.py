@@ -244,7 +244,7 @@ def cmd_evaluate(args) -> int:
         truth = io.read_ground_truth(args.truth)
         same_gauge = settings_match(report["setting"], truth["setting"])
         tpp_true = io.tpp_from_dict(truth["tpp"])
-        poses_true = [io.pose_from_dict(p) for p in truth["poses"]]
+        poses_true = io.poses_from_records(truth["poses"])
         results = {stage: io.result_from_dict(report[stage])
                    for stage in ("linear", "refined")}
     except _CONFIG_ERRORS as exc:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .projection import Pose
+from .rotation import rodrigues_matrices
 from .tpp import TppParams
 
 INTRINSIC_KEYS = ("k_xy", "k_uv", "u_0", "v_0", "f")
@@ -54,14 +54,14 @@ def rotation_angle(Ra: np.ndarray, Rb: np.ndarray) -> float:
     return float(math.acos(min(1.0, max(-1.0, cos))))
 
 
-def pose_errors(estimates: list[Pose], truths: list[Pose]) -> list[dict[str, float]]:
-    """Rotation geodesic error (rad) and relative translation error per pose."""
+def pose_errors(estimates: np.ndarray, truths: np.ndarray) -> list[dict[str, float]]:
+    """Rotation geodesic error (rad) and relative translation error per pose,
+    row by row of two (P, 6) arrays of [rvec | tvec] rows."""
     if len(estimates) != len(truths):
         raise ValueError(f"pose count mismatch: {len(estimates)} vs {len(truths)}")
-    out = []
-    for est, tru in zip(estimates, truths):
-        rot = rotation_angle(est.matrix, tru.matrix)
-        denom = max(1.0, float(np.linalg.norm(tru.translation)))
-        trans = float(np.linalg.norm(est.translation - tru.translation)) / denom
-        out.append({"rotation_rad": rot, "translation_rel": trans})
-    return out
+    est, tru = (np.asarray(p, dtype=float).reshape(-1, 6) for p in (estimates, truths))
+    rotations = (rodrigues_matrices(np.ascontiguousarray(p[:, :3])) for p in (est, tru))
+    return [{"rotation_rad": rotation_angle(Re, Rt),
+             "translation_rel": float(np.linalg.norm(e[3:] - t[3:]))
+             / max(1.0, float(np.linalg.norm(t[3:])))}
+            for e, t, Re, Rt in zip(est, tru, *rotations)]

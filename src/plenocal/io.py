@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import CalibrationOutput, CalibrationResult
-from .projection import DistortionParams, Observations, Pose
+from .projection import DistortionParams, Observations
 from .rectification import MicroImageCenters, MlaMisalignmentSpec
 from .simulator import BoardSpec, PhysicalCameraSpec
 from .tpp import TppParams
@@ -75,12 +75,21 @@ def dist_from_dict(d: dict) -> DistortionParams:
     return DistortionParams(**d)
 
 
-def pose_to_dict(pose: Pose) -> dict:
-    return {"rvec": list(pose.rotation), "tvec": list(pose.translation)}
+def poses_to_records(poses: np.ndarray) -> list[dict]:
+    """One ``{id, rvec, tvec}`` record per [rvec | tvec] row; ids count rows."""
+    return [{"id": k, "rvec": row[:3], "tvec": row[3:]}
+            for k, row in enumerate(np.asarray(poses, dtype=float).tolist())]
 
 
-def pose_from_dict(d: dict) -> Pose:
-    return Pose(np.array(d["rvec"]), np.array(d["tvec"]))
+def poses_from_records(records: list[dict]) -> np.ndarray:
+    """The (P, 6) [rvec | tvec] rows of pose records, in record order;
+    ValueError unless each ``rvec`` and ``tvec`` is three finite numbers."""
+    parts = [np.asarray(r[key], dtype=float) for r in records for key in ("rvec", "tvec")]
+    for k, v in enumerate(parts):
+        if v.shape != (3,) or not np.isfinite(v).all():
+            raise ValueError(f"pose record {k // 2}: {('rvec', 'tvec')[k % 2]} is not "
+                             f"three finite numbers: {v.tolist()}")
+    return np.array(parts).reshape(-1, 6)
 
 
 def camera_to_dict(spec: PhysicalCameraSpec) -> dict:
@@ -99,8 +108,7 @@ def camera_from_dict(d: dict) -> PhysicalCameraSpec:
         sensor_origin=np.array(d["sensor_origin_mm"], dtype=float),
         mla_origin=np.array(d["mla_origin_mm"], dtype=float),
         pixel_pitch=float(d["pixel_pitch_mm"]),
-        sensor_resolution=(int(d["sensor_resolution"][0]),
-                           int(d["sensor_resolution"][1])),
+        sensor_resolution=tuple(d["sensor_resolution"]),
         lens_pitch=float(d["lens_pitch_mm"]),
         micro_image_radius=float(d["micro_image_radius_px"]))
 
@@ -146,11 +154,12 @@ def read_observations(path):
     """Returns (observations, (n_points, 2) board pixels by point id, meta dict).
 
     Raises ValueError on a board that ``BoardSpec`` refuses, a pixel pitch
-    that is not positive and finite, a pose id, point id or lens label that
-    is not a JSON integer, a non-finite pixel, a (pose, point, lens) record
-    that appears more than once, a point id off the board, and, when the
-    file states a non-zero ``sensor_px``, a pixel more than ``SENSOR_MARGIN``
-    sensor widths or heights outside the sensor.
+    that is not positive and finite, a ``sensor_px`` that is not two
+    non-negative JSON integers, a pose id, point id or lens label that is not
+    a JSON integer, a pose id shared by two pose blocks, a non-finite pixel, a
+    (pose, point, lens) record that appears more than once, a point id off
+    the board, and, when the file states a non-zero ``sensor_px``, a pixel
+    more than ``SENSOR_MARGIN`` sensor widths or heights outside the sensor.
     """
     payload = load_json(path)
     if payload.get("schema") != OBSERVATIONS_SCHEMA:
@@ -160,10 +169,17 @@ def read_observations(path):
     if not 0.0 < pitch < np.inf:
         raise ValueError(f"{path}: pixel_pitch_mm must be positive and finite, got {pitch}")
     points = board_from_dict(board).points_mm() / pitch
+    sensor_px = tuple(payload.get("sensor_px", (0, 0)))
+    if not (len(sensor_px) == 2 and _integral(sensor_px) and min(sensor_px) >= 0):
+        raise ValueError(f"{path}: sensor_px must be two non-negative JSON integers, "
+                         f"got {list(sensor_px)!r}")
     poses = payload["poses"]
-    for pose in poses:
-        if not _integral([pose["id"]]):
-            raise ValueError(f"{path}: pose id {pose['id']!r} is not a JSON integer")
+    ids = [pose["id"] for pose in poses]
+    for k, pose_id in enumerate(ids):
+        if not _integral([pose_id]):
+            raise ValueError(f"{path}: pose id {pose_id!r} is not a JSON integer")
+        if pose_id in ids[:k]:
+            raise ValueError(f"{path}: pose id {pose_id} names more than one pose block")
     records = [rec for pose in poses for rec in pose["observations"]]
     point_ids = [rec["point_id"] for rec in records]
     lenses = [rec["lens"] for rec in records]
@@ -175,12 +191,11 @@ def read_observations(path):
                          f"lens {rec['lens']!r}) has an id or label that is not a "
                          "JSON integer")
     observations = Observations(
-        np.repeat(np.array([pose["id"] for pose in poses], dtype=np.int64),
+        np.repeat(np.array(ids, dtype=np.int64),
                   [len(pose["observations"]) for pose in poses]),
         point_ids,
         np.array(lenses, dtype=np.int64).reshape(-1, 2),
         np.array([rec["pixel"] for rec in records], dtype=float).reshape(-1, 2))
-    sensor_px = tuple(payload.get("sensor_px", (0, 0)))
     _check_records(path, observations, len(points), sensor_px)
     meta = {"board": board, "pixel_pitch_mm": pitch, "sensor_px": sensor_px}
     return observations, points, meta
@@ -226,7 +241,7 @@ def _check_records(path, obs: Observations, n_points: int, sensor_px) -> None:
 # --- ground truth sidecar -------------------------------------------------------
 
 def write_ground_truth(path, *, tpp: TppParams, tpp_interior: TppParams,
-                       dist: DistortionParams, poses: list[Pose],
+                       dist: DistortionParams, poses: np.ndarray,
                        setting: TppParams, noise_sigma: float, seed: int,
                        physical: dict, misalignment: dict | None = None) -> None:
     payload = {
@@ -237,7 +252,7 @@ def write_ground_truth(path, *, tpp: TppParams, tpp_interior: TppParams,
         "tpp": tpp_to_dict(tpp),
         "tpp_interior": tpp_to_dict(tpp_interior),
         "distortion": dist_to_dict(dist),
-        "poses": [dict(id=k, **pose_to_dict(p)) for k, p in enumerate(poses)],
+        "poses": poses_to_records(poses),
         "setting": tpp_to_dict(setting),
         "noise_sigma": float(noise_sigma),
         "seed": int(seed),
@@ -260,7 +275,7 @@ def result_to_dict(result: CalibrationResult) -> dict:
     return {
         "tpp": tpp_to_dict(result.tpp),
         "distortion": dist_to_dict(result.dist),
-        "poses": [dict(id=k, **pose_to_dict(p)) for k, p in enumerate(result.poses)],
+        "poses": poses_to_records(result.poses),
         "rms_px": result.rms,
         "residual_histogram": [[edge, count]
                                for edge, count in result.residual_histogram],
@@ -271,7 +286,7 @@ def result_from_dict(d: dict) -> CalibrationResult:
     return CalibrationResult(
         tpp=tpp_from_dict(d["tpp"]),
         dist=dist_from_dict(d["distortion"]),
-        poses=[pose_from_dict(p) for p in d["poses"]],
+        poses=poses_from_records(d["poses"]),
         rms=float(d["rms_px"]),
         residual_histogram=[(float(e), int(c))
                             for e, c in d.get("residual_histogram", [])])

@@ -54,29 +54,9 @@ class DistortionParams:
             raise ValueError(f"distortion parameters must be finite, got {vals}")
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Rigid motion of the board: Rodrigues rotation vector + translation."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation",
-                           np.asarray(self.rotation, dtype=float).reshape(3).copy())
-        object.__setattr__(self, "translation",
-                           np.asarray(self.translation, dtype=float).reshape(3).copy())
-        if not (np.all(np.isfinite(self.rotation))
-                and np.all(np.isfinite(self.translation))):
-            raise ValueError("pose components must be finite")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return rodrigues_matrices(self.rotation)[0]
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self.matrix.T + self.translation
+def apply_pose(pose: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """(N, 3) points moved by one [rvec | tvec] pose row: R(rvec) p + tvec."""
+    return np.atleast_2d(points) @ rodrigues_matrices(pose[:3])[0].T + pose[3:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +147,8 @@ class ProjectionBatch:
         self.labels = np.atleast_2d(np.asarray(self.labels, dtype=float))
         self.site = np.asarray(self.site, dtype=int).reshape(-1)
         self.lens = np.asarray(self.lens, dtype=int).reshape(-1)
-        self.rvecs = np.atleast_2d(np.asarray(self.rvecs, dtype=float))
-        self.tvecs = np.atleast_2d(np.asarray(self.tvecs, dtype=float))
+        self.rvecs = np.atleast_2d(np.ascontiguousarray(self.rvecs, dtype=float))
+        self.tvecs = np.atleast_2d(np.ascontiguousarray(self.tvecs, dtype=float))
 
     @property
     def pose_index(self) -> np.ndarray:
@@ -314,27 +294,23 @@ def observation_batch(observations: Observations, board_points, poses
     """The projection batch of an observation table, in its row order.
 
     ``board_points`` is the (n_points, 2) board array of ``board_sites``;
-    ``poses`` maps pose id -> Pose, as a dict or a sequence indexed by id.
-    Pose rows follow the sorted distinct pose ids.
+    ``poses`` holds one [rvec | tvec] row per distinct pose id of the table,
+    in sorted id order, as a (P, 6) array.
 
-    Raises MissingReference for dangling pose or point ids.
+    Raises MissingReference when the row count differs from the number of
+    distinct pose ids, and for dangling point ids.
     """
     pose_ids, pose_row = np.unique(observations.pose, return_inverse=True)
-    keys = list(poses.keys()) if isinstance(poses, dict) else range(len(poses))
-    known = np.isin(pose_ids, np.fromiter(keys, dtype=np.int64, count=len(keys)))
-    if not known.all():
-        raise MissingReference(
-            f"observation references unknown pose {pose_ids[np.argmin(known)]}")
-    chosen = [poses[k] for k in pose_ids.tolist()]
+    poses = np.asarray(poses, dtype=float).reshape(-1, 6)
+    if len(poses) != len(pose_ids):
+        raise MissingReference(f"{len(poses)} pose rows for {len(pose_ids)} pose ids")
     starts, board_xy = board_sites(observations, board_points)
     first = starts[:-1]
     points_w = np.column_stack([board_xy, np.zeros(len(first))])
     site = np.repeat(np.arange(len(first)), np.diff(starts))
     labels, lens = _unique_rows(observations.lens)
-    rvecs = np.array([p.rotation for p in chosen]).reshape(-1, 3)
-    tvecs = np.array([p.translation for p in chosen]).reshape(-1, 3)
     return ProjectionBatch(points_w, pose_row.reshape(-1)[first], labels, site, lens,
-                           rvecs, tvecs)
+                           poses[:, :3], poses[:, 3:])
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -352,9 +328,9 @@ def residuals(observations: Observations, board_points, poses, tpp: TppParams,
               dist: DistortionParams):
     """Re-projection residuals (observed - predicted) and their RMS.
 
-    ``board_points`` and ``poses`` are as in ``observation_batch``.  Residuals
-    come in the table's (pose, point, lens) row order; the RMS is taken over
-    all 2N scalar components.
+    ``board_points`` and the (P, 6) ``poses``, one row per distinct pose id
+    in sorted id order, are as in ``observation_batch``.  Residuals come in
+    the table's row order; the RMS is taken over all 2N scalar components.
     """
     batch = observation_batch(observations, board_points, poses)
     res = observations.pixel - project_pixels(batch, tpp, dist)

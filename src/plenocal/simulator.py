@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BehindPlane, EnvelopeInfeasible, FocalSingularity
-from .projection import (DistortionParams, Observations, Pose, ProjectionBatch,
-                         project_pixels)
+from .projection import (DistortionParams, Observations, ProjectionBatch,
+                         apply_pose, project_pixels)
 from .rectification import MlaMisalignmentSpec, lens_positions, project_centers
 from .tpp import TppParams
 
@@ -36,7 +37,9 @@ class PhysicalCameraSpec:
     ``sensor_origin`` is the 3D position of pixel (0, 0); ``mla_origin`` the
     optical center of the reference micro-lens, label (0, 0).  Both live in
     the main-lens frame (aperture at the origin, optical axis along +z on the
-    sensor side).
+    sensor side).  Construction raises ValueError, naming the field, unless
+    the origins are finite, the focal length, pitches and micro-image radius
+    finite and positive, and the resolution two positive integers.
     """
 
     main_focal: float
@@ -52,9 +55,19 @@ class PhysicalCameraSpec:
                            np.asarray(self.sensor_origin, dtype=float).reshape(3).copy())
         object.__setattr__(self, "mla_origin",
                            np.asarray(self.mla_origin, dtype=float).reshape(3).copy())
+        for name in ("sensor_origin", "mla_origin"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("main_focal", "pixel_pitch", "lens_pitch", "micro_image_radius"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {getattr(self, name)}")
+        res = tuple(self.sensor_resolution)
+        if not (len(res) == 2 and all(isinstance(v, numbers.Integral)
+                                      and not isinstance(v, bool) and v > 0 for v in res)):
+            raise ValueError(f"sensor_resolution must be two positive integers, got {res}")
+        object.__setattr__(self, "sensor_resolution", (int(res[0]), int(res[1])))
         F = self.main_focal
-        if F <= 0 or self.pixel_pitch <= 0 or self.lens_pitch <= 0:
-            raise ValueError("focal length and pitches must be positive")
         z_s, z_a = self.sensor_origin[2], self.mla_origin[2]
         if abs(z_s - F) < 1e-9 or abs(z_a - F) < 1e-9:
             raise FocalSingularity(
@@ -67,11 +80,11 @@ class PhysicalCameraSpec:
 
     @property
     def width(self) -> int:
-        return int(self.sensor_resolution[0])
+        return self.sensor_resolution[0]
 
     @property
     def height(self) -> int:
-        return int(self.sensor_resolution[1])
+        return self.sensor_resolution[1]
 
 
 @dataclass(frozen=True)
@@ -348,9 +361,10 @@ def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarr
     return point[ok], labels[ok], pixels[ok]
 
 
-def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> list[Pose]:
+def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> np.ndarray:
     """Sample board poses: bounded rotation from frontal, depth and lateral
     placement inside the envelope, re-drawn until enough points are visible.
+    Returns the (n, 6) array of [rvec | tvec] rows; row k is pose id k.
 
     Depths are stratified over the envelope range (shuffled slots) so every
     pose set spans it; tilt magnitudes stay in the upper half of the allowed
@@ -368,7 +382,7 @@ def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> list[Pose]:
     max_rot = math.radians(envelope.max_rotation_deg)
     slots = rng.permutation(n)
 
-    poses: list[Pose] = []
+    poses = []
     rejections = 0
     while len(poses) < n:
         if rejections > envelope.max_rejections:
@@ -386,22 +400,24 @@ def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> list[Pose]:
         lateral = rng.uniform(-envelope.lateral_fraction,
                               envelope.lateral_fraction, size=2) * z
         target = np.array([lateral[0], lateral[1], z])
-        pose = Pose(rvec, target - Pose(rvec, np.zeros(3)).apply(center_w)[0])
-        pts_c = pose.apply(pts_w)
+        pose = np.concatenate([rvec, np.zeros(3)])
+        pose[3:] = target - apply_pose(pose, center_w)[0]
+        pts_c = apply_pose(pose, pts_w)
         point, _, _ = _observe_points(spec, tpp, pts_c, DistortionParams(), None, None)
         if len(np.unique(point)) / len(pts_c) >= envelope.min_visible_fraction:
             poses.append(pose)
         else:
             rejections += 1
-    return poses
+    return np.array(poses)
 
 
 def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
-                            poses: list[Pose], dist: DistortionParams,
+                            poses: np.ndarray, dist: DistortionParams,
                             noise_sigma: float, seed: int,
                             misalignment: MlaMisalignmentSpec | None = None
                             ) -> Observations:
-    """Emit one observation per (pose, board point, observing micro-lens).
+    """Emit one observation per (pose, board point, observing micro-lens);
+    row k of the (P, 6) [rvec | tvec] ``poses`` gets pose id k.
 
     Pixels come from the ground-truth scene-side TPP model (or a physical
     trace through the misaligned MLA); i.i.d. Gaussian noise of the given
@@ -417,8 +433,8 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
     # per pose: the pose id, point ids, lens labels and pixels of its rows
     columns = [(np.empty(0, int), np.empty(0, int), np.empty((0, 2), int),
                 np.empty((0, 2)))]
-    for pose_id, pose in enumerate(poses):
-        point, labels, px = _observe_points(spec, tpp, pose.apply(pts_w), dist,
+    for pose_id, pose in enumerate(np.asarray(poses, dtype=float).reshape(-1, 6)):
+        point, labels, px = _observe_points(spec, tpp, apply_pose(pose, pts_w), dist,
                                             misalignment, frame)
         columns.append((np.full(len(point), pose_id), point, labels, px))
     # each pose's rows come grouped by point and ordered by label: table order

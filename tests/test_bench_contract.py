@@ -17,15 +17,21 @@ from plenocal.rectification import write_pgm
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
-def test_patch_table_names_resolve():
+def load_workloads():
+    """``bench/workloads.py`` as a module."""
     spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads
     try:
         spec.loader.exec_module(workloads)
-        table = workloads.patch_table(workloads.load_api())
     finally:
         del sys.modules[spec.name]
+    return workloads
+
+
+def test_patch_table_names_resolve():
+    workloads = load_workloads()
+    table = workloads.patch_table(workloads.load_api())
     assert table
     missing = [(getattr(owner, "__name__", "api"), attr)
                for owner, attr, *_ in table if not hasattr(owner, attr)]
@@ -90,10 +96,26 @@ def test_synthesize_observations_len_is_row_count(camera, board, poses12,
     assert 0 < len(few) < len(noisy_observations)
 
 
-def test_generate_poses_returns_a_list_of_poses(poses12):
+def test_generate_poses_returns_a_pose_row_array(poses12):
     # the tracer's simulator.poses takes len() of what generate_poses returns
-    assert isinstance(poses12, list) and len(poses12) == 12
-    assert all(isinstance(p, simulator.Pose) for p in poses12)
+    assert isinstance(poses12, np.ndarray) and poses12.dtype == float
+    assert poses12.shape == (12, 6) and len(poses12) == 12
+
+
+def test_count_refine_reads_the_pose_rows(noisy_observations, board_points, setting,
+                                          camera):
+    # the tracer's calibration.refine.jacobian_cols counts 9 intrinsic columns
+    # (fixed centers) plus 6 per pose from len(initial.poses)
+    linear, _ = calibration.linear_calibrate(noisy_observations, board_points, setting)
+    args = (linear, noisy_observations, board_points,
+            calibration.RefineOptions(max_iterations=2,
+                                      sensor_size=camera.sensor_resolution))
+    attrs = {}
+    load_workloads()._count_refine(attrs, args, {}, calibration.refine(*args))
+    n_poses = len(np.unique(noisy_observations.pose))
+    assert attrs["jacobian_cols"] == 9 + 6 * n_poses == 9 + 6 * 12
+    assert attrs["jacobian_rows"] == 2 * len(noisy_observations)
+    assert attrs["iterations"] == 2
 
 
 def test_white_image_is_a_uint16_raster(camera, white_image):
@@ -113,7 +135,5 @@ def test_calibrate_takes_the_board_as_a_dict_by_point_id(noisy_observations,
     assert (got.stop, got.trace) == (want.stop, want.trace)
     for g, w in ((got.linear, want.linear), (got.refined, want.refined)):
         assert (g.tpp, g.dist, g.rms) == (w.tpp, w.dist, w.rms)
-        for p, q in zip(g.poses, w.poses, strict=True):
-            np.testing.assert_array_equal(np.r_[p.rotation, p.translation],
-                                          np.r_[q.rotation, q.translation])
+        np.testing.assert_array_equal(g.poses, w.poses)
         np.testing.assert_array_equal(g.residuals, w.residuals)

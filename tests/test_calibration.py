@@ -17,8 +17,8 @@ from plenocal.calibration import (_LM_DIAG_FLOOR, CalibrationResult,
 from plenocal.errors import (DegenerateBoard, IllConditioned, InsufficientData,
                              InsufficientPoses, NegativeDiscriminant)
 from plenocal.evaluate import intrinsic_errors, pose_errors
-from plenocal.projection import (DistortionParams, Pose, observation_batch,
-                                 project_pixels)
+from plenocal.projection import DistortionParams, observation_batch, project_pixels
+from plenocal.rotation import rodrigues_matrices
 from plenocal.tpp import TppParams, projective_matrix
 
 
@@ -33,9 +33,10 @@ def transform_params(setting, tpp_scene):
 
 
 def synthetic_homography(P, pose, rng=None, normalize=True):
-    R = rodrigues_matrix(pose.rotation)
+    """The homography of one [rvec | tvec] pose row."""
+    R = rodrigues_matrix(pose[:3])
     H = P @ np.column_stack([np.append(R[:, 0], 0.0), np.append(R[:, 1], 0.0),
-                             np.append(pose.translation, 1.0)])
+                             np.append(pose[3:], 1.0)])
     if normalize:
         H = H / np.linalg.norm(H)
         if H[3, 2] < 0:
@@ -44,13 +45,13 @@ def synthetic_homography(P, pose, rng=None, normalize=True):
 
 
 def decoded_bundles(P, pose, board_xy, f, f_prime, rays_per_point, rng):
-    """Exact decoded-ray groups for one pose: rays through the transformed
-    board points with separation f_prime."""
+    """Exact decoded-ray groups for one [rvec | tvec] pose row: rays through
+    the transformed board points with separation f_prime."""
     from plenocal.tpp import transform_point
-    R = rodrigues_matrix(pose.rotation)
+    R = rodrigues_matrix(pose[:3])
     entries = []
     for xy in board_xy:
-        Xc = R @ np.array([xy[0], xy[1], 0.0]) + pose.translation
+        Xc = R @ np.array([xy[0], xy[1], 0.0]) + pose[3:]
         Xd = transform_point(P, Xc)
         rays = np.empty((rays_per_point, 5))
         rays[:, 0:2] = Xd[:2] + rng.normal(size=(rays_per_point, 2)) * abs(Xd[2]) * 0.02
@@ -97,7 +98,7 @@ class TestHomography:
     def test_construct_and_recover(self, gauge_setup, setting):
         xd, P = gauge_setup
         rng = np.random.default_rng(0)
-        pose = Pose([0.2, -0.3, 0.1], [500.0, -300.0, 1.4e5])
+        pose = np.array([0.2, -0.3, 0.1, 500.0, -300.0, 1.4e5])
         board = [(x * 6000.0, y * 6000.0) for x in range(3) for y in range(3)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 4, rng)
         H = estimate_homography(*as_columns(entries))
@@ -107,7 +108,7 @@ class TestHomography:
     def test_collinear_board_degenerate(self, gauge_setup, setting):
         xd, P = gauge_setup
         rng = np.random.default_rng(1)
-        pose = Pose([0.2, -0.1, 0.0], [0.0, 0.0, 1.4e5])
+        pose = np.array([0.2, -0.1, 0.0, 0.0, 0.0, 1.4e5])
         board = [(k * 5000.0, 2.0 * k * 5000.0) for k in range(8)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 3, rng)
         with pytest.raises(DegenerateBoard):
@@ -116,7 +117,7 @@ class TestHomography:
     def test_too_few_points(self, gauge_setup, setting):
         xd, P = gauge_setup
         rng = np.random.default_rng(2)
-        pose = Pose([0.1, 0.0, 0.0], [0.0, 0.0, 1.3e5])
+        pose = np.array([0.1, 0.0, 0.0, 0.0, 0.0, 1.3e5])
         board = [(x * 5000.0, y * 5000.0) for x in range(2) for y in range(2)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 3, rng)
         with pytest.raises(InsufficientData):
@@ -125,7 +126,7 @@ class TestHomography:
     def test_single_ray_point_rejected(self, gauge_setup, setting):
         xd, P = gauge_setup
         rng = np.random.default_rng(3)
-        pose = Pose([0.1, 0.2, 0.0], [0.0, 0.0, 1.3e5])
+        pose = np.array([0.1, 0.2, 0.0, 0.0, 0.0, 1.3e5])
         board = [(x * 5000.0, y * 5000.0) for x in range(3) for y in range(2)]
         entries = decoded_bundles(P, pose, board, xd.f, setting.f_prime, 2, rng)
         entries[0] = (entries[0][0], entries[0][1][:1])
@@ -167,17 +168,17 @@ class TestSolveQ:
 
     def test_two_poses_insufficient(self, gauge_setup):
         _, P = gauge_setup
-        hs = [synthetic_homography(P, Pose([0.2, 0.1, 0.0], [0, 0, 1.4e5])),
-              synthetic_homography(P, Pose([-0.1, 0.2, 0.0], [0, 0, 1.5e5]))]
+        hs = [synthetic_homography(P, np.array([0.2, 0.1, 0.0, 0, 0, 1.4e5])),
+              synthetic_homography(P, np.array([-0.1, 0.2, 0.0, 0, 0, 1.5e5]))]
         with pytest.raises(InsufficientPoses):
             solve_q(hs, 378.0)
 
     def test_near_parallel_poses_ill_conditioned(self, camera, board,
                                                  board_points, setting):
         base = np.array([0.35, 0.22, 0.1])
-        poses = [Pose(base + np.array([0.0, 0.0, 0.0]), [0.0, 0.0, 1.4e5]),
-                 Pose(base + np.array([0.008, 0.0, 0.0]), [800.0, 0.0, 1.45e5]),
-                 Pose(base + np.array([0.0, 0.008, 0.0]), [0.0, 800.0, 1.5e5])]
+        poses = np.array([np.r_[base + [0.0, 0.0, 0.0], 0.0, 0.0, 1.4e5],
+                          np.r_[base + [0.008, 0.0, 0.0], 800.0, 0.0, 1.45e5],
+                          np.r_[base + [0.0, 0.008, 0.0], 0.0, 800.0, 1.5e5]])
         obs = sim.synthesize_observations(camera, board, poses,
                                           DistortionParams(), 0.0, 3)
         with pytest.raises(IllConditioned):
@@ -224,7 +225,7 @@ class TestClosedForm:
         obs = clean_observations[clean_observations.pose != 1]
         result, _ = linear_calibrate(obs, board_points, setting)
         assert result.rms < 1e-6
-        errs = pose_errors(result.poses, [p for k, p in enumerate(poses12) if k != 1])
+        errs = pose_errors(result.poses, np.delete(poses12, 1, axis=0))
         assert max(e["rotation_rad"] for e in errs) < 1e-6
 
     def test_negative_discriminant(self, gauge_setup, setting, poses12):
@@ -241,16 +242,18 @@ class TestExtrinsics:
     def test_axis_aligned_pose(self, gauge_setup):
         _, P = gauge_setup
         z = 1.5e5
-        H = synthetic_homography(P, Pose(np.zeros(3), [0.0, 0.0, z]))
+        H = synthetic_homography(P, np.array([0.0, 0.0, 0.0, 0.0, 0.0, z]))
         pose = extrinsics_from_homography(H, P)
-        np.testing.assert_allclose(pose.matrix, np.eye(3), atol=1e-10)
-        np.testing.assert_allclose(pose.translation, [0.0, 0.0, z],
+        assert pose.shape == (6,)
+        np.testing.assert_allclose(rodrigues_matrices(pose[:3])[0], np.eye(3),
+                                   atol=1e-10)
+        np.testing.assert_allclose(pose[3:], [0.0, 0.0, z],
                                    rtol=1e-10, atol=1e-9 * z)
 
     def test_recovers_simulator_poses(self, clean_observations, board_points,
                                       setting, poses12):
         result, _ = linear_calibrate(clean_observations, board_points, setting)
-        errs = pose_errors(result.poses, list(poses12))
+        errs = pose_errors(result.poses, poses12)
         assert max(e["rotation_rad"] for e in errs) < 1e-6
         assert max(e["translation_rel"] for e in errs) < 1e-6
 
@@ -281,7 +284,7 @@ class TestRefine:
             TppParams.isotropic(tpp_truth.k_x, tpp_truth.k_u, tpp_truth.u_0,
                                 tpp_truth.v_0, tpp_truth.f,
                                 f_prime=setting.f_prime),
-            DistortionParams(), list(poses12), 0.0)
+            DistortionParams(), poses12, 0.0)
         result, trace, _ = refine(init, clean_observations, board_points,
                                   RefineOptions(sensor_size=camera.sensor_resolution))
         assert len(trace) <= 2
@@ -292,7 +295,7 @@ class TestRefine:
         bumped = TppParams.isotropic(tpp_truth.k_x * 1.1, tpp_truth.k_u * 1.1,
                                      tpp_truth.u_0 * 1.1, tpp_truth.v_0 * 1.1,
                                      tpp_truth.f * 1.1, f_prime=setting.f_prime)
-        init = CalibrationResult(bumped, DistortionParams(), list(poses12), 1.0)
+        init = CalibrationResult(bumped, DistortionParams(), poses12, 1.0)
         result, trace, _ = refine(init, clean_observations, board_points,
                                   RefineOptions(sensor_size=camera.sensor_resolution))
         errs = intrinsic_errors(result.tpp, tpp_truth)
@@ -335,7 +338,7 @@ class TestRefine:
         # one LM step on the reduced system equals the dense solve of
         # (A + damping D), D = diag(A) floored at _LM_DIAG_FLOOR of its mean
         obs = noisy_observations[::25]
-        batch = observation_batch(obs, board_points, list(poses12))
+        batch = observation_batch(obs, board_points, poses12)
         n_poses = batch.rvecs.shape[0]
         dist = tilted_distortion(tpp_truth) if distorted else DistortionParams()
         pixels, J_intr, J_pose = project_pixels(batch, tpp_truth, dist, jacobian=True,
@@ -419,7 +422,7 @@ class TestRefine:
 
     def test_too_few_poses(self, board_points, tpp_truth):
         init = CalibrationResult(tpp_truth, DistortionParams(),
-                                 [Pose(np.zeros(3), [0, 0, 1e5])] * 2, 1.0)
+                                 np.tile([0.0, 0.0, 0.0, 0.0, 0.0, 1e5], (2, 1)), 1.0)
         with pytest.raises(InsufficientPoses):
             refine(init, [], board_points)
 

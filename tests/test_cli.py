@@ -293,6 +293,26 @@ class TestIngestValidation:
         assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
         assert "off the 25-point board" in caplog.text
 
+    def test_repeated_pose_id_exit_2(self, sim_dir, tmp_path, caplog):
+        # two boards under one id would merge into one pose
+        obs = tampered_observations(sim_dir, tmp_path,
+                                    lambda p: p["poses"][1].update(id=p["poses"][0]["id"]))
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
+                   "--out", tmp_path / "rect") == 2
+        assert "pose id 0 names more than one pose block" in caplog.text
+
+    @pytest.mark.parametrize("sensor_px", [[-2000, -1350], [2000, -1], [2000.0, 1350],
+                                           [2000]],
+                             ids=["negative", "negative-height", "float", "one-entry"])
+    def test_malformed_sensor_px_exit_2(self, sim_dir, tmp_path, caplog, sensor_px):
+        obs = tampered_observations(sim_dir, tmp_path,
+                                    lambda p: p.update(sensor_px=sensor_px))
+        assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
+        assert run("rectify", obs, "--white-image", tmp_path / "absent.pgm",
+                   "--out", tmp_path / "rect") == 2
+        assert "sensor_px must be two non-negative JSON integers" in caplog.text
+
     @pytest.mark.parametrize("fields, message", [
         ({"board": {"rows": 5, "cols": 5, "cell_mm": [0.0, 54.0]}},
          "cell size must be positive"),
@@ -404,6 +424,26 @@ class TestWronglyTypedJson:
         assert run("evaluate", report, sim_dir / "ground_truth.json",
                    "--out", tmp_path / "eval") == 2
 
+    @pytest.mark.parametrize("source, edit", [
+        ("report", lambda p: p["refined"]["poses"][0].update(rvec=[1, 2])),
+        ("report", lambda p: p["linear"]["poses"][1].update(tvec=[1, 2, 3, 4])),
+        ("report", lambda p: p["refined"]["poses"][2].update(rvec="abc")),
+        ("truth", lambda p: p["poses"][2]["tvec"].__setitem__(1, float("nan"))),
+        ("truth", lambda p: p["poses"][0]["rvec"].__setitem__(0, float("inf"))),
+        ("truth", lambda p: p["poses"][1].update(tvec=[[1.0, 2.0, 3.0]])),
+    ], ids=["report-two-rvec-entries", "report-four-tvec-entries", "report-string-rvec",
+            "truth-nan-tvec", "truth-infinite-rvec", "truth-nested-tvec"])
+    def test_evaluate_malformed_pose_record_exit_2(self, sim_dir, report_path, tmp_path,
+                                                   source, edit):
+        # every pose record needs an rvec and a tvec of three finite numbers
+        paths = {"report": report_path, "truth": sim_dir / "ground_truth.json"}
+        payload = json.loads(paths[source].read_text())
+        edit(payload)
+        paths[source] = tmp_path / f"{source}.json"
+        paths[source].write_text(json.dumps(payload))
+        assert run("evaluate", paths["report"], paths["truth"],
+                   "--out", tmp_path / "eval") == 2
+
     def test_calibrate_null_setting_scale_exit_2(self, sim_dir, tmp_path):
         setting = io.read_ground_truth(sim_dir / "ground_truth.json")["setting"]
         setting["k_xy"] = None
@@ -431,6 +471,35 @@ class TestWronglyTypedJson:
         cfg = small_config(tmp_path, **{field: value})
         assert run("simulate", "--config", cfg, "--out", tmp_path / "sim") == 2
         assert field in caplog.text
+
+    @pytest.mark.parametrize("field, value, name", [
+        ("sensor_resolution", [2000], "sensor_resolution"),
+        ("sensor_resolution", [2000.5, 1350], "sensor_resolution"),
+        ("sensor_resolution", [0, 0], "sensor_resolution"),
+        ("sensor_resolution", [-10, 1350], "sensor_resolution"),
+        ("main_focal_mm", float("inf"), "main_focal"),
+        ("pixel_pitch_mm", float("nan"), "pixel_pitch"),
+        ("lens_pitch_mm", float("inf"), "lens_pitch"),
+        ("micro_image_radius_px", 0, "micro_image_radius"),
+        ("micro_image_radius_px", -5, "micro_image_radius"),
+        ("micro_image_radius_px", float("nan"), "micro_image_radius"),
+        ("sensor_origin_mm", [float("nan"), -6.1, 68.76], "sensor_origin"),
+    ], ids=["one-resolution-entry", "fractional-resolution", "zero-resolution",
+            "negative-resolution", "infinite-focal", "nan-pixel-pitch",
+            "infinite-lens-pitch", "zero-radius", "negative-radius", "nan-radius",
+            "nan-sensor-origin"])
+    def test_simulate_bad_physical_camera_exit_2(self, tmp_path, caplog, field, value,
+                                                 name):
+        # each was a traceback (exit 1), a sampler that gave up after 1001
+        # rejected draws (exit 3), or a silently truncated resolution (exit 0)
+        cfg = small_config(tmp_path)
+        payload = json.loads(cfg.read_text())
+        payload["camera"][field] = value
+        cfg.write_text(json.dumps(payload))
+        out = tmp_path / "sim"
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert f"{name} must be" in caplog.text
+        assert not out.exists()
 
     def test_calibrate_null_pixel_exit_2(self, sim_dir, tmp_path):
         def null_pixel(payload):

@@ -9,8 +9,8 @@ from oracles import rodrigues_matrix, rotate_points_jacobian
 from plenocal import io
 from plenocal.errors import BehindPlane, MissingReference
 from plenocal.projection import (INTRINSIC_NAMES, DistortionParams, Observations,
-                                 Pose, ProjectionBatch, _distort_jacobian,
-                                 _radial_factors, observation_batch, project_pixels,
+                                 ProjectionBatch, _distort_jacobian, _radial_factors,
+                                 apply_pose, observation_batch, project_pixels,
                                  residuals)
 from plenocal.rotation import rodrigues_matrices, rotation_basis_jacobians
 from plenocal.tpp import TppParams, decode_virtual_rays, incidence_matrix
@@ -130,15 +130,16 @@ def simple_camera():
 
 
 def project_one(point_w, pose, tpp, dist, lens):
-    """Pixel of one world point under one labeled micro-lens."""
-    batch = row_batch(point_w, lens, [0], pose.rotation, pose.translation)
+    """Pixel of one world point under one labeled micro-lens and one
+    [rvec | tvec] pose row."""
+    batch = row_batch(point_w, lens, [0], pose[:3], pose[3:])
     return project_pixels(batch, tpp, dist)[0]
 
 
 class TestProjectPoint:
     def test_similar_triangles(self, simple_camera):
         tpp, dist = simple_camera
-        pose = Pose(np.zeros(3), np.zeros(3))
+        pose = np.zeros(6)
         # lens u-v point at (30 d_lens, 0) and a point at twice the separation
         point = np.array([0.0, 0.0, 2.0 * tpp.f])
         pixel = project_one(point, pose, tpp, dist, (2, 0))
@@ -148,20 +149,20 @@ class TestProjectPoint:
         tpp, dist = simple_camera
         rng = np.random.default_rng(3)
         for _ in range(30):
-            pose = Pose(rng.normal(size=3) * 0.4,
-                        [rng.normal() * 50, rng.normal() * 50, rng.uniform(3e3, 2e4)])
+            pose = np.r_[rng.normal(size=3) * 0.4,
+                         rng.normal() * 50, rng.normal() * 50, rng.uniform(3e3, 2e4)]
             point_w = np.array([rng.normal() * 100, rng.normal() * 100, 0.0])
             lens = rng.integers(-20, 20, 2)
             pixel = project_one(point_w, pose, tpp, dist, lens)
             rays = decode_virtual_rays(pixel, lens, tpp)
-            point_c = pose.apply(point_w)[0]
+            point_c = apply_pose(pose, point_w)[0]
             rows = incidence_matrix(rays)
             val = np.abs(rows @ np.append(point_c, 1.0)).max()
             assert val < 1e-10 * np.abs(rows).max() * max(1, np.abs(point_c).max())
 
     def test_behind_plane_rejected(self, simple_camera):
         tpp, dist = simple_camera
-        pose = Pose(np.zeros(3), np.zeros(3))
+        pose = np.zeros(6)
         with pytest.raises(BehindPlane):
             project_one(np.array([0.0, 0.0, tpp.f]), pose, tpp, dist, (0, 0))
 
@@ -213,15 +214,19 @@ class TestResiduals:
         np.testing.assert_array_equal(r1, r2)
 
     def test_missing_pose_reference(self, board_points, tpp_truth):
+        # pose rows follow the sorted distinct pose ids, whatever their
+        # values: one row serves pose 5, and two rows are one too many
         obs = Observations([5], [0], [(0, 0)], [(1.0, 1.0)])
-        with pytest.raises(MissingReference, match="pose 5"):
-            residuals(obs, board_points, [Pose(np.zeros(3), np.zeros(3))],
-                      tpp_truth, DistortionParams())
+        pose = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 3 * tpp_truth.f])
+        residuals(obs, board_points, pose[None], tpp_truth, DistortionParams())
+        with pytest.raises(MissingReference, match="2 pose rows for 1 pose ids"):
+            residuals(obs, board_points, np.stack([pose, pose]), tpp_truth,
+                      DistortionParams())
 
     def test_missing_point_reference(self, tpp_truth):
         obs = Observations([0], [99], [(0, 0)], [(1.0, 1.0)])
         with pytest.raises(MissingReference, match="point 99"):
-            residuals(obs, {0: np.zeros(2)}, [Pose(np.zeros(3), np.zeros(3))],
+            residuals(obs, {0: np.zeros(2)}, np.zeros((1, 6)),
                       tpp_truth, DistortionParams())
 
     def test_sort_key(self, noisy_observations, board_points, poses12, tpp_truth):
@@ -351,7 +356,7 @@ def test_jacobian_matches_finite_differences(optimize_centers):
 
 def test_rigid_motion_matches_per_pose_rotation():
     """The rotations and basis derivatives of all poses at once equal each
-    pose's own scalar reference, bit for bit, as does ``Pose.matrix``, and
+    pose's own scalar reference, bit for bit, as does ``apply_pose``, and
     sum_b p_b G(e_b) gives the derivative at any point; pose 0 takes the
     small-angle branch, and the points leave the board plane so every basis
     term counts."""
@@ -363,7 +368,8 @@ def test_rigid_motion_matches_per_pose_rotation():
     R, G = rodrigues_matrices(rvecs), rotation_basis_jacobians(rvecs)
     for p in range(n_poses):
         np.testing.assert_array_equal(R[p], rodrigues_matrix(rvecs[p]))
-        np.testing.assert_array_equal(Pose(rvecs[p], np.zeros(3)).matrix, R[p])
+        np.testing.assert_array_equal(apply_pose(np.r_[rvecs[p], 0.0, 0.0, 0.0], pts),
+                                      pts @ R[p].T)
         np.testing.assert_array_equal(G[p], rotate_points_jacobian(rvecs[p], np.eye(3)))
         ref = rotate_points_jacobian(rvecs[p], pts)
         got = np.einsum("nb,bac->nac", pts, G[p])
@@ -372,7 +378,7 @@ def test_rigid_motion_matches_per_pose_rotation():
 
 def test_observation_batch_layout(noisy_observations, board_points, poses12):
     obs = noisy_observations
-    batch = observation_batch(obs, board_points, dict(enumerate(poses12)))
+    batch = observation_batch(obs, board_points, poses12)
     sites = np.unique(np.column_stack([obs.pose, obs.point]), axis=0)
     assert batch.points_w.shape == (len(sites), 3)
     np.testing.assert_array_equal(batch.site_pose, sites[:, 0])
@@ -399,7 +405,7 @@ def tilted_distortion(tpp):
 def test_factored_projection_matches_reference(request, dataset, optimize_centers,
                                                board_points, poses12, tpp_truth):
     obs = request.getfixturevalue(dataset)
-    batch = observation_batch(obs, board_points, list(poses12))
+    batch = observation_batch(obs, board_points, poses12)
     for dist in (DistortionParams(), tilted_distortion(tpp_truth)):
         got = project_pixels(batch, tpp_truth, dist, jacobian=True,
                              optimize_centers=optimize_centers)

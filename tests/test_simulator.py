@@ -5,7 +5,7 @@ import pytest
 
 from plenocal import simulator as sim
 from plenocal.errors import EnvelopeInfeasible, FocalSingularity
-from plenocal.projection import DistortionParams, Observations, residuals
+from plenocal.projection import DistortionParams, Observations, apply_pose, residuals
 from plenocal.tpp import decode_virtual_rays
 
 
@@ -77,19 +77,17 @@ class TestGeneratePoses:
     def test_frontal_pose(self, camera, board):
         env = sim.default_envelope(camera, board, max_rotation_deg=0.0)
         poses = sim.generate_poses(1, 0, env)
-        np.testing.assert_array_equal(poses[0].rotation, np.zeros(3))
+        np.testing.assert_array_equal(poses[0, :3], np.zeros(3))
 
     def test_deterministic(self, camera, board):
         env = sim.default_envelope(camera, board)
         a = sim.generate_poses(5, 123, env)
         b = sim.generate_poses(5, 123, env)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.rotation, pb.rotation)
-            np.testing.assert_array_equal(pa.translation, pb.translation)
+        np.testing.assert_array_equal(a, b)
 
     def test_rotation_bounded(self, poses12):
         for p in poses12:
-            assert np.linalg.norm(p.rotation) <= np.radians(40.0) + 1e-12
+            assert np.linalg.norm(p[:3]) <= np.radians(40.0) + 1e-12
 
     def test_multiplicity_at_least_twelve(self, clean_observations):
         keys = np.column_stack([clean_observations.pose, clean_observations.point])
@@ -264,7 +262,6 @@ def reference_observe_points(spec, tpp, points_c, dist, mla, frame):
 def reference_generate_poses(n, seed, envelope):
     """The pose draw loop with its per-point visibility test."""
     import math
-    from plenocal.projection import Pose
     rng = np.random.default_rng(seed)
     spec, board = envelope.camera, envelope.board
     _, tpp = sim.physical_to_tpp(spec)
@@ -290,26 +287,27 @@ def reference_generate_poses(n, seed, envelope):
         lateral = rng.uniform(-envelope.lateral_fraction,
                               envelope.lateral_fraction, size=2) * z
         target = np.array([lateral[0], lateral[1], z])
-        pose = Pose(rvec, target - Pose(rvec, np.zeros(3)).apply(center_w)[0])
-        seen = reference_observe_points(spec, tpp, pose.apply(pts_w),
+        pose = np.r_[rvec, 0.0, 0.0, 0.0]
+        pose[3:] = target - apply_pose(pose, center_w)[0]
+        seen = reference_observe_points(spec, tpp, apply_pose(pose, pts_w),
                                         DistortionParams(), None, None)
         if np.mean([len(lbl) > 0 for lbl, _ in seen]) >= envelope.min_visible_fraction:
             poses.append(pose)
         else:
             rejections += 1
-    return poses, rejections
+    return np.array(poses), rejections
 
 
 def reference_observations(spec, board, poses, dist, mla=None):
     """Noise-free table assembled point by point from the reference."""
-    from plenocal.projection import Observations
     _, tpp = sim.physical_to_tpp(spec)
     frame = sim.exterior_frame(spec) if mla is not None else None
     pts_w = np.column_stack([board.points_mm() / spec.pixel_pitch,
                              np.zeros(board.rows * board.cols)])
     pose_ids, point_ids, lenses, pixels = [], [], [np.empty((0, 2), int)], [np.empty((0, 2))]
     for pose_id, pose in enumerate(poses):
-        seen = reference_observe_points(spec, tpp, pose.apply(pts_w), dist, mla, frame)
+        seen = reference_observe_points(spec, tpp, apply_pose(pose, pts_w), dist, mla,
+                                        frame)
         for point_id, (labels, px) in enumerate(seen):
             pose_ids += [pose_id] * len(labels)
             point_ids += [point_id] * len(labels)
@@ -354,10 +352,8 @@ def assert_same_table(a, b):
 
 
 def assert_same_poses(a, b):
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert pa.rotation.tobytes() == pb.rotation.tobytes()
-        assert pa.translation.tobytes() == pb.translation.tobytes()
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
 
 
 MISALIGNED_DEG = (0.2, -0.1, 0.3)
@@ -425,7 +421,7 @@ class TestObservePoints:
     @pytest.fixture
     def seen_point(self, poses12, board_points):
         """A board point of a sampled pose, in the scene-side frame."""
-        return poses12[0].apply(np.append(board_points[12], 0.0))[0]
+        return apply_pose(poses12[0], np.append(board_points[12], 0.0))[0]
 
     @staticmethod
     def observe(camera, points):

@@ -14,9 +14,9 @@ from .calibration import (CalibrationOutput, CalibrationResult, RefineOptions,
                           solve_q)
 from .evaluate import intrinsic_errors, mean_intrinsic_error, pose_errors
 from .projection import DistortionParams, Observations, residuals
-from .rectification import (MicroImageCenters, MlaMisalignmentSpec, detect_centers,
-                            estimate_rectifying_homography, project_centers,
-                            read_pgm, rectify_observations, row_slopes, write_pgm)
+from .rectification import (MicroImageCenters, detect_centers,
+                            estimate_rectifying_homography, read_pgm,
+                            rectify_observations, row_slopes, write_pgm)
 from .simulator import (BoardSpec, PhysicalCameraSpec, PoseEnvelope,
                         default_envelope, default_setting, generate_poses,
                         reference_board, reference_camera, physical_to_tpp,

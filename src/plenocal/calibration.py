@@ -313,9 +313,10 @@ def setting_from_observations(observations: Observations, sensor_px) -> TppParam
     """Heuristic decode setting for data that comes without one.
 
     Unit x-y scale, the micro-image pitch fitted to the mean pixel position
-    of each lens label, offsets at the image center (half of ``sensor_px``
-    when given, else of the observed extent), and a plane separation in the
-    same regime.  Raises ValueError when no positive pitch can be fitted.
+    of each lens label, offsets at the image center (half of the (width,
+    height) ``sensor_px``, or of the observed extent when it is None), and a
+    plane separation in the same regime.  Raises ValueError when no positive
+    pitch can be fitted.
     """
     if len(observations) == 0:
         raise ValueError("cannot estimate a micro-image pitch from the observations")
@@ -330,8 +331,8 @@ def setting_from_observations(observations: Observations, sensor_px) -> TppParam
     pitch = (abs(coef_x[0]) + abs(coef_y[1])) / 2.0
     if not np.isfinite(pitch) or pitch <= 0:
         raise ValueError("cannot estimate a micro-image pitch from the observations")
-    w, h = sensor_px if sensor_px and sensor_px[0] else (2.0 * means[:, 0].max(),
-                                                         2.0 * means[:, 1].max())
+    w, h = sensor_px if sensor_px is not None else (2.0 * means[:, 0].max(),
+                                                    2.0 * means[:, 1].max())
     return TppParams.isotropic(1.0, pitch, w / 2.0, h / 2.0, 11.0 * pitch)
 
 

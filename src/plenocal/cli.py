@@ -38,10 +38,10 @@ from .evaluate import (intrinsic_errors, mean_intrinsic_error, pose_errors,
 from .projection import DistortionParams, residuals  # noqa: F401
 from .rectification import (detect_centers, estimate_rectifying_homography,
                             read_pgm, rectify_observations, row_slopes, write_pgm)
-from .simulator import (aligned_mla, default_envelope, default_setting,
-                        generate_poses, reference_board, reference_camera,
-                        physical_to_tpp, synthesize_observations,
-                        synthesize_white_image)
+from .simulator import (check_sensor_behind_mla, default_envelope,
+                        default_setting, generate_poses, reference_board,
+                        reference_camera, physical_to_tpp,
+                        synthesize_observations, synthesize_white_image)
 from .tpp import TppParams
 
 log = logging.getLogger("plenocal")
@@ -143,17 +143,15 @@ def cmd_simulate(args) -> int:
         envelope = default_envelope(camera, board,
                                     tuple(cfg["scene_range_mm"]),
                                     max_rotation_deg=cfg["max_rotation_deg"])
-        # a misaligned MLA and the white image both need the array's pose,
-        # which aligned_mla refuses unless the sensor sits behind the MLA
-        mla = None
+        # a rotated MLA and the white image both need the array's pose
+        if cfg["misalignment_deg"] is not None or cfg["white_image"]:
+            check_sensor_behind_mla(camera)
+        mla_rotation = None
         if cfg["misalignment_deg"] is not None:
-            rvec = np.radians(np.asarray(cfg["misalignment_deg"], dtype=float))
-            mla = aligned_mla(camera, rotation=rvec)
+            mla_rotation = np.radians(np.asarray(cfg["misalignment_deg"], dtype=float))
             if any((dist.s1, dist.s2, dist.t1, dist.t2)):
                 raise ConfigError("distortion cannot be combined with "
                                   "misalignment_deg")
-        elif cfg["white_image"]:
-            aligned_mla(camera)
     except _CONFIG_ERRORS as exc:
         log.error("configuration error: %s", exc)
         return EXIT_CONFIG
@@ -162,7 +160,7 @@ def cmd_simulate(args) -> int:
         poses = generate_poses(cfg["poses"], cfg["seed"], envelope)
         observations = synthesize_observations(
             camera, board, poses, dist, cfg["sigma"], cfg["seed"] + 1,
-            misalignment=mla)
+            mla_rotation=mla_rotation)
         tpp_in, tpp_out = physical_to_tpp(camera)
         io.write_observations(
             out / "observations.json", observations,
@@ -173,9 +171,10 @@ def cmd_simulate(args) -> int:
             dist=dist, poses=poses, setting=default_setting(camera),
             noise_sigma=cfg["sigma"], seed=cfg["seed"],
             physical=io.camera_to_dict(camera),
-            misalignment=io.mla_to_dict(mla) if mla is not None else None)
+            misalignment=(None if mla_rotation is None
+                          else {"rotation_rvec": mla_rotation.tolist()}))
         if cfg["white_image"]:
-            write_pgm(out / "white.pgm", synthesize_white_image(camera, mla))
+            write_pgm(out / "white.pgm", synthesize_white_image(camera, mla_rotation))
         _write_run_config(out, {"command": "simulate", **cfg})
     except PlenocalError as exc:
         log.error("simulation failed: %s: %s", type(exc).__name__, exc)
@@ -210,7 +209,7 @@ def cmd_calibrate(args) -> int:
         optimize_distortion_centers=args.optimize_distortion_centers,
         optimize_xy_distortion=not args.fix_xy_distortion,
         max_iterations=args.max_iterations,
-        sensor_size=meta["sensor_px"] if meta["sensor_px"][0] else None)
+        sensor_size=meta["sensor_px"])
     try:
         output = calibrate(observations, board_points, setting, options)
     except PlenocalError as exc:
@@ -224,7 +223,8 @@ def cmd_calibrate(args) -> int:
         "fix_xy_distortion": args.fix_xy_distortion,
         "max_iterations": args.max_iterations,
     }
-    io.write_report(out / "report.json", output, options=option_echo)
+    io.write_report(out / "report.json", output, options=option_echo,
+                    pose_ids=np.unique(observations.pose))
     io.write_residual_csv(out / "residuals.csv", observations,
                           output.refined.residuals)
     _write_run_config(out, {
@@ -244,7 +244,7 @@ def cmd_evaluate(args) -> int:
         truth = io.read_ground_truth(args.truth)
         same_gauge = settings_match(report["setting"], truth["setting"])
         tpp_true = io.tpp_from_dict(truth["tpp"])
-        poses_true = io.poses_from_records(truth["poses"])
+        truth_ids, poses_true = io.poses_from_records(truth["poses"])
         results = {stage: io.result_from_dict(report[stage])
                    for stage in ("linear", "refined")}
     except _CONFIG_ERRORS as exc:
@@ -254,17 +254,20 @@ def cmd_evaluate(args) -> int:
         log.error("gauge mismatch: result and ground truth use different "
                   "decode settings")
         return EXIT_GAUGE
+    # poses pair by id: a calibration may see only some of the true poses
+    row_of = dict(zip(truth_ids.tolist(), range(len(truth_ids))))
     payload = {}
-    for stage, result in results.items():
-        if len(result.poses) != len(poses_true):
-            log.error("gauge mismatch: %d estimated poses vs %d ground-truth poses",
-                      len(result.poses), len(poses_true))
+    for stage, (pose_ids, result) in results.items():
+        rows = [row_of.get(pose_id) for pose_id in pose_ids.tolist()]
+        if None in rows:
+            log.error("gauge mismatch: estimated pose id %d has no ground-truth pose",
+                      pose_ids[rows.index(None)])
             return EXIT_GAUGE
         errs = intrinsic_errors(result.tpp, tpp_true)
         payload[stage] = {
             "intrinsic_errors": errs,
             "mean_intrinsic_error": mean_intrinsic_error(result.tpp, tpp_true),
-            "pose_errors": pose_errors(result.poses, poses_true),
+            "pose_errors": pose_errors(result.poses, poses_true[rows]),
             "rms_px": result.rms,
         }
     io.write_metrics(out / "metrics.json", payload)

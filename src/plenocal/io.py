@@ -19,7 +19,7 @@ import numpy as np
 
 from .calibration import CalibrationOutput, CalibrationResult
 from .projection import DistortionParams, Observations
-from .rectification import MicroImageCenters, MlaMisalignmentSpec
+from .rectification import MicroImageCenters
 from .simulator import BoardSpec, PhysicalCameraSpec
 from .tpp import TppParams
 
@@ -75,21 +75,26 @@ def dist_from_dict(d: dict) -> DistortionParams:
     return DistortionParams(**d)
 
 
-def poses_to_records(poses: np.ndarray) -> list[dict]:
-    """One ``{id, rvec, tvec}`` record per [rvec | tvec] row; ids count rows."""
+def poses_to_records(ids, poses: np.ndarray) -> list[dict]:
+    """One ``{id, rvec, tvec}`` record per [rvec | tvec] row, with its id."""
     return [{"id": k, "rvec": row[:3], "tvec": row[3:]}
-            for k, row in enumerate(np.asarray(poses, dtype=float).tolist())]
+            for k, row in zip(np.asarray(ids).tolist(),
+                              np.asarray(poses, dtype=float).tolist())]
 
 
-def poses_from_records(records: list[dict]) -> np.ndarray:
-    """The (P, 6) [rvec | tvec] rows of pose records, in record order;
-    ValueError unless each ``rvec`` and ``tvec`` is three finite numbers."""
+def poses_from_records(records: list[dict]) -> tuple[np.ndarray, np.ndarray]:
+    """The (P,) ids and (P, 6) [rvec | tvec] rows of pose records, in record
+    order; ValueError unless the ids are distinct JSON integers and each
+    ``rvec`` and ``tvec`` is three finite numbers."""
+    ids = [r["id"] for r in records]
+    if not _integral(ids) or len(set(ids)) != len(ids):
+        raise ValueError(f"pose record ids must be distinct JSON integers, got {ids}")
     parts = [np.asarray(r[key], dtype=float) for r in records for key in ("rvec", "tvec")]
     for k, v in enumerate(parts):
         if v.shape != (3,) or not np.isfinite(v).all():
             raise ValueError(f"pose record {k // 2}: {('rvec', 'tvec')[k % 2]} is not "
                              f"three finite numbers: {v.tolist()}")
-    return np.array(parts).reshape(-1, 6)
+    return np.array(ids, dtype=np.int64), np.array(parts).reshape(-1, 6)
 
 
 def camera_to_dict(spec: PhysicalCameraSpec) -> dict:
@@ -122,17 +127,12 @@ def board_from_dict(d: dict) -> BoardSpec:
                      cell=(float(d["cell_mm"][0]), float(d["cell_mm"][1])))
 
 
-def mla_to_dict(mla: MlaMisalignmentSpec) -> dict:
-    return {"rotation_rvec": list(mla.rotation), "offset_mm": list(mla.offset),
-            "lens_pitch_mm": mla.lens_pitch, "sensor_gap_mm": mla.sensor_gap,
-            "pixel_pitch_mm": mla.pixel_pitch}
-
-
 # --- observation files -------------------------------------------------------
 
 def write_observations(path, observations: Observations, *, board_rows: int,
                        board_cols: int, cell_mm, pixel_pitch_mm: float,
                        sensor_px) -> None:
+    """Write a table; ``sensor_px`` None (an unknown sensor) is written [0, 0]."""
     records = [{"point_id": k, "lens": ij, "pixel": xy} for k, ij, xy in
                zip(observations.point.tolist(), observations.lens.tolist(),
                    observations.pixel.tolist())]
@@ -143,7 +143,7 @@ def write_observations(path, observations: Observations, *, board_rows: int,
         "board": {"rows": board_rows, "cols": board_cols,
                   "cell_mm": [float(cell_mm[0]), float(cell_mm[1])]},
         "pixel_pitch_mm": float(pixel_pitch_mm),
-        "sensor_px": [int(sensor_px[0]), int(sensor_px[1])],
+        "sensor_px": [int(v) for v in ((0, 0) if sensor_px is None else sensor_px)],
         "poses": [{"id": pid, "observations": records[a:b]}
                   for pid, a, b in zip(pose_ids.tolist(), bounds, bounds[1:])],
     }
@@ -153,13 +153,15 @@ def write_observations(path, observations: Observations, *, board_rows: int,
 def read_observations(path):
     """Returns (observations, (n_points, 2) board pixels by point id, meta dict).
 
-    Raises ValueError on a board that ``BoardSpec`` refuses, a pixel pitch
-    that is not positive and finite, a ``sensor_px`` that is not two
-    non-negative JSON integers, a pose id, point id or lens label that is not
-    a JSON integer, a pose id shared by two pose blocks, a non-finite pixel, a
-    (pose, point, lens) record that appears more than once, a point id off
-    the board, and, when the file states a non-zero ``sensor_px``, a pixel
-    more than ``SENSOR_MARGIN`` sensor widths or heights outside the sensor.
+    ``meta["sensor_px"]`` is the sensor's (width, height), or None when the
+    file states it unknown as [0, 0] (or not at all).  Raises ValueError on a
+    board that ``BoardSpec`` refuses, a pixel pitch that is not positive and
+    finite, a ``sensor_px`` that is not two JSON integers, both zero or both
+    positive, a pose id, point id or lens label that is not a JSON integer, a
+    pose id shared by two pose blocks, a non-finite pixel, a (pose, point,
+    lens) record that appears more than once, a point id off the board, and,
+    for a known sensor, a pixel more than ``SENSOR_MARGIN`` sensor widths or
+    heights outside it.
     """
     payload = load_json(path)
     if payload.get("schema") != OBSERVATIONS_SCHEMA:
@@ -170,9 +172,12 @@ def read_observations(path):
         raise ValueError(f"{path}: pixel_pitch_mm must be positive and finite, got {pitch}")
     points = board_from_dict(board).points_mm() / pitch
     sensor_px = tuple(payload.get("sensor_px", (0, 0)))
-    if not (len(sensor_px) == 2 and _integral(sensor_px) and min(sensor_px) >= 0):
+    if not (len(sensor_px) == 2 and _integral(sensor_px)
+            and (min(sensor_px) > 0 or sensor_px == (0, 0))):
         raise ValueError(f"{path}: sensor_px must be two non-negative JSON integers, "
+                         f"both zero (unknown) or both positive, "
                          f"got {list(sensor_px)!r}")
+    sensor_px = sensor_px if sensor_px != (0, 0) else None
     poses = payload["poses"]
     ids = [pose["id"] for pose in poses]
     for k, pose_id in enumerate(ids):
@@ -226,8 +231,8 @@ def _check_records(path, obs: Observations, n_points: int, sensor_px) -> None:
     if bad.any():
         raise ValueError(f"{path}: (pose, point, lens) record {key(np.argmax(bad))} "
                          f"names a point off the {n_points}-point board")
-    size = np.array(sensor_px, dtype=float)
-    if size.shape == (2,) and np.all(size > 0):
+    if sensor_px is not None:
+        size = np.array(sensor_px, dtype=float)
         margin = SENSOR_MARGIN * size
         bad = ((obs.pixel < -margin) | (obs.pixel > size + margin)).any(axis=1)
         if bad.any():
@@ -252,7 +257,7 @@ def write_ground_truth(path, *, tpp: TppParams, tpp_interior: TppParams,
         "tpp": tpp_to_dict(tpp),
         "tpp_interior": tpp_to_dict(tpp_interior),
         "distortion": dist_to_dict(dist),
-        "poses": poses_to_records(poses),
+        "poses": poses_to_records(range(len(poses)), poses),
         "setting": tpp_to_dict(setting),
         "noise_sigma": float(noise_sigma),
         "seed": int(seed),
@@ -271,34 +276,38 @@ def read_ground_truth(path) -> dict:
 
 # --- calibration report ---------------------------------------------------------
 
-def result_to_dict(result: CalibrationResult) -> dict:
+def result_to_dict(result: CalibrationResult, pose_ids) -> dict:
     return {
         "tpp": tpp_to_dict(result.tpp),
         "distortion": dist_to_dict(result.dist),
-        "poses": poses_to_records(result.poses),
+        "poses": poses_to_records(pose_ids, result.poses),
         "rms_px": result.rms,
         "residual_histogram": [[edge, count]
                                for edge, count in result.residual_histogram],
     }
 
 
-def result_from_dict(d: dict) -> CalibrationResult:
-    return CalibrationResult(
+def result_from_dict(d: dict) -> tuple[np.ndarray, CalibrationResult]:
+    """The pose ids of a report's result and the result."""
+    pose_ids, poses = poses_from_records(d["poses"])
+    return pose_ids, CalibrationResult(
         tpp=tpp_from_dict(d["tpp"]),
         dist=dist_from_dict(d["distortion"]),
-        poses=poses_from_records(d["poses"]),
+        poses=poses,
         rms=float(d["rms_px"]),
         residual_histogram=[(float(e), int(c))
                             for e, c in d.get("residual_histogram", [])])
 
 
-def write_report(path, output: CalibrationOutput, *, options: dict) -> None:
+def write_report(path, output: CalibrationOutput, *, options: dict, pose_ids) -> None:
+    """The report of a calibration whose pose rows belong to ``pose_ids``,
+    the sorted distinct pose ids of its observation table."""
     payload = {
         "schema": REPORT_SCHEMA,
         "setting": tpp_to_dict(output.setting),
         "options": options,
-        "linear": result_to_dict(output.linear),
-        "refined": result_to_dict(output.refined),
+        "linear": result_to_dict(output.linear, pose_ids),
+        "refined": result_to_dict(output.refined, pose_ids),
         "refinement": {
             "iterations": len(output.trace),
             "accepted_steps": sum(1 for t in output.trace if t["accepted"]),

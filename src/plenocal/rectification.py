@@ -19,10 +19,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import (AmbiguousPitch, DegenerateConfiguration, DegenerateGeometry,
-                     NoGridFound, PointAtInfinity, TooFewCenters)
+from .errors import (AmbiguousPitch, DegenerateConfiguration, NoGridFound,
+                     PointAtInfinity, TooFewCenters)
 from .projection import Observations
-from .rotation import rodrigues_matrices
 
 _PEAK_FRACTION = 0.2          # local maxima below this fraction of peak are noise
 _BACKGROUND_PERCENTILE = 20.0
@@ -33,36 +32,6 @@ _ATTACH_RADIUS = 0.35         # lattice walk: max deviation from predicted site
 _MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])  # +i, -i, +j, -j
 _CENTROID_CHUNK = 1024        # centroid windows gathered per batch
 _DLT_RANK_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class MlaMisalignmentSpec:
-    """Pose of the micro-lens array relative to the main lens.
-
-    ``offset`` is the position (x_m, y_m, L) of the reference micro-lens
-    (label (0, 0)) and ``sensor_gap`` the axial MLA-to-sensor distance, both
-    in the same metric unit as ``lens_pitch``.
-    """
-
-    rotation: np.ndarray          # Rodrigues vector of the array rotation
-    offset: np.ndarray            # (x_m, y_m, L)
-    lens_pitch: float             # d_m > 0
-    sensor_gap: float             # l > 0
-    pixel_pitch: float            # metric size of one sensor pixel
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation",
-                           np.asarray(self.rotation, dtype=float).reshape(3).copy())
-        object.__setattr__(self, "offset",
-                           np.asarray(self.offset, dtype=float).reshape(3).copy())
-        if self.offset[2] <= 0:
-            raise ValueError("MLA distance L must be positive")
-        if self.lens_pitch <= 0 or self.sensor_gap <= 0 or self.pixel_pitch <= 0:
-            raise ValueError("lens_pitch, sensor_gap and pixel_pitch must be positive")
-
-    @property
-    def rotation_matrix(self) -> np.ndarray:
-        return rodrigues_matrices(self.rotation)[0]
 
 
 @dataclass(frozen=True)
@@ -85,27 +54,6 @@ class MicroImageCenters:
 
     def __len__(self) -> int:
         return len(self.label)
-
-
-def lens_positions(spec: MlaMisalignmentSpec, labels: np.ndarray) -> np.ndarray:
-    """3D micro-lens centers (x_g, y_g, z_g) for an (N, 2) label array."""
-    labels = np.atleast_2d(np.asarray(labels, dtype=float))
-    grid = np.zeros((labels.shape[0], 3))
-    grid[:, 0] = labels[:, 0] * spec.lens_pitch
-    grid[:, 1] = labels[:, 1] * spec.lens_pitch
-    return grid @ spec.rotation_matrix.T + spec.offset
-
-
-def project_centers(spec: MlaMisalignmentSpec, g: np.ndarray) -> np.ndarray:
-    """Micro-image centers in axis-relative pixels of (N, 3) lens positions.
-
-    Each lens center is projected from the main-lens aperture origin onto the
-    sensor plane at distance L + l and converted to pixels.
-    """
-    if np.any(g[:, 2] <= 0.0):
-        raise DegenerateGeometry("micro-lens center at or behind the aperture plane")
-    depth = spec.offset[2] + spec.sensor_gap
-    return (g[:, :2] * (depth / g[:, 2])[:, None]) / spec.pixel_pitch
 
 
 def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.ndarray:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindPlane, EnvelopeInfeasible, FocalSingularity
-from .projection import (DistortionParams, Observations, ProjectionBatch,
-                         apply_pose, project_pixels)
-from .rectification import MlaMisalignmentSpec, lens_positions, project_centers
+from .errors import (BehindPlane, DegenerateGeometry, EnvelopeInfeasible,
+                     FocalSingularity)
+from .projection import DistortionParams, Observations, apply_pose
+from .rotation import rodrigues_matrices
 from .tpp import TppParams
 
 logger = logging.getLogger("plenocal.simulator")
@@ -206,45 +206,54 @@ def physical_to_tpp(spec: PhysicalCameraSpec) -> tuple[TppParams, TppParams]:
     return tpp_in, tpp_out
 
 
+def _center_lattice(spec: PhysicalCameraSpec) -> tuple[float, np.ndarray]:
+    """Micro-image centers of the aligned array as the lattice a_c * label +
+    b_c in raster pixels: each lens center seen from the main-lens aperture."""
+    z_s, z_a = spec.sensor_origin[2], spec.mla_origin[2]
+    a_c = (z_s / z_a) * spec.lens_pitch / spec.pixel_pitch
+    b_c = ((z_s / z_a) * spec.mla_origin[:2] - spec.sensor_origin[:2]) / spec.pixel_pitch
+    return a_c, b_c
+
+
 def default_setting(spec: PhysicalCameraSpec) -> TppParams:
     """Decode setting used before calibration: unit pixel scale on x-y, the
     nominal micro-image pitch on u-v, offsets at the image center, and the
     nominal sensor-MLA gap as plane separation.  Keeps the decoded ray
     coordinates within a few orders of magnitude of each other.
     """
-    z_s, z_a = spec.sensor_origin[2], spec.mla_origin[2]
-    mi_pitch = abs(z_s / z_a) * spec.lens_pitch / spec.pixel_pitch
-    gap = abs(z_s - z_a) / spec.pixel_pitch
-    return TppParams.isotropic(1.0, mi_pitch, spec.width / 2.0,
+    gap = abs(spec.sensor_origin[2] - spec.mla_origin[2]) / spec.pixel_pitch
+    return TppParams.isotropic(1.0, abs(_center_lattice(spec)[0]), spec.width / 2.0,
                                spec.height / 2.0, gap)
 
 
-def aligned_mla(spec: PhysicalCameraSpec,
-                rotation=(0.0, 0.0, 0.0)) -> MlaMisalignmentSpec:
-    """MLA pose matching the camera spec, optionally with a rotation applied."""
-    gap = spec.sensor_origin[2] - spec.mla_origin[2]
-    if gap <= 0:
+def check_sensor_behind_mla(spec: PhysicalCameraSpec) -> None:
+    """Raise ValueError unless the sensor sits behind the MLA, the layout in
+    which a white image and a rotated array are simulated."""
+    if spec.sensor_origin[2] <= spec.mla_origin[2]:
         raise ValueError("sensor must sit behind the MLA")
-    return MlaMisalignmentSpec(rotation=np.asarray(rotation, dtype=float),
-                               offset=spec.mla_origin,
-                               lens_pitch=spec.lens_pitch,
-                               sensor_gap=gap,
-                               pixel_pitch=spec.pixel_pitch)
 
 
-def micro_image_center_px(spec: PhysicalCameraSpec, labels: np.ndarray,
-                          mla: MlaMisalignmentSpec | None = None) -> np.ndarray:
-    """Raster-pixel micro-image centers for an (N, 2) label array."""
-    mla = mla if mla is not None else aligned_mla(spec)
-    origin = spec.sensor_origin[:2] / spec.pixel_pitch
-    return project_centers(mla, lens_positions(mla, labels)) - origin
+def micro_lenses(spec: PhysicalCameraSpec, labels: np.ndarray,
+                 rotation=None) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (N, 3) mm of labeled micro-lenses, the array turned about lens
+    (0, 0) by the Rodrigues vector ``rotation`` (radians; None: aligned), and
+    their micro-image centers (N, 2) in raster pixels: each lens center
+    projected from the main-lens aperture onto the sensor plane."""
+    labels = np.atleast_2d(np.asarray(labels, dtype=float))
+    grid = np.column_stack([labels * spec.lens_pitch, np.zeros(len(labels))])
+    if rotation is not None:
+        grid = grid @ rodrigues_matrices(rotation)[0].T
+    lens = grid + spec.mla_origin
+    if np.any(lens[:, 2] <= 0.0):
+        raise DegenerateGeometry("micro-lens center at or behind the aperture plane")
+    centers = (lens[:, :2] * (spec.sensor_origin[2] / lens[:, 2])[:, None]) \
+        / spec.pixel_pitch - spec.sensor_origin[:2] / spec.pixel_pitch
+    return lens, centers
 
 
 def lens_index_range(spec: PhysicalCameraSpec) -> tuple[range, range]:
     """Label ranges of micro-lenses whose images can touch the sensor."""
-    z_s, z_a = spec.sensor_origin[2], spec.mla_origin[2]
-    a_c = (z_s / z_a) * spec.lens_pitch / spec.pixel_pitch
-    b = ((z_s / z_a) * spec.mla_origin[:2] - spec.sensor_origin[:2]) / spec.pixel_pitch
+    a_c, b = _center_lattice(spec)
     lo_i = math.floor((0.0 - b[0]) / a_c) - 1
     hi_i = math.ceil((spec.width - 1 - b[0]) / a_c) + 1
     lo_j = math.floor((0.0 - b[1]) / a_c) - 1
@@ -280,19 +289,31 @@ def default_envelope(spec: PhysicalCameraSpec, board: BoardSpec,
     return PoseEnvelope(spec, board, (min(zs), max(zs)), **kwargs)
 
 
-def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarray,
-                    dist: DistortionParams, mla: MlaMisalignmentSpec | None,
-                    frame: ExteriorFrame | None
+def _radial_shift(points: np.ndarray, center, d1: float, d2: float) -> np.ndarray:
+    """How far the radial map (p - c)(1 + d1 r^2 + d2 r^4) + c, r = |p - c|,
+    moves each of (N, 2) points; exactly zero for zero coefficients."""
+    d = points - center
+    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    return d * (r2 * (d1 + d2 * r2))[:, None]
+
+
+def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, frame: ExteriorFrame,
+                    points_c: np.ndarray, dist: DistortionParams, rotation
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every (scene point, observing lens) pair of one pose, as flat rows.
 
-    Points are given in the scene-side TPP frame.  The aligned path projects
-    through the TPP model; with an ``mla`` pose the ray is traced physically
-    (thin main lens + pinhole micro-lens) instead.  A point is observed by a
-    lens when its pixel falls inside that lens's micro-image disc and inside
-    the sensor.  Each point's candidate lenses are a window of labels about
-    the lens that sees it head-on; a point on the u-v conjugate plane raises
-    BehindPlane before anything is projected.
+    Points are given in the scene-side TPP frame.  Each ray is traced
+    through the thin main lens, then through the pinhole of a micro-lens of
+    the array turned by ``rotation`` (radians, see ``micro_lenses``) onto
+    the sensor.  Distortion takes model form (the fitted model's two-plane
+    terms): the u-v terms shift each pinhole in the array plane by the u-v
+    displacement times that plane's scale to the array, and the x-y terms
+    map the traced pixel radially about (x_c, y_c) / k_xy with coefficients
+    s1 k_xy^2 and s2 k_xy^4.  A point is observed by a lens when its pixel
+    falls inside the sensor and inside the disc about that lens's undisplaced
+    micro-image center.  Each point's candidate lenses are a window of labels
+    about the lens that sees it head-on; a point on the u-v conjugate plane
+    raises BehindPlane before anything is traced.
 
     Returns the point index (N,), lens label (N, 2) and exact pixel (N, 2)
     of each observation, grouped by point in input order and ordered by
@@ -300,9 +321,8 @@ def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarr
     """
     points_c = np.atleast_2d(points_c)
     k_xy, k_uv, u_0, v_0, f = tpp.k_x, tpp.k_u, tpp.u_0, tpp.v_0, tpp.f
-    z_s, z_a = spec.sensor_origin[2], spec.mla_origin[2]
-    a_c = (z_s / z_a) * spec.lens_pitch / spec.pixel_pitch
-    b_c = ((z_s / z_a) * spec.mla_origin[:2] - spec.sensor_origin[:2]) / spec.pixel_pitch
+    F, z_s, z_a = spec.main_focal, spec.sensor_origin[2], spec.mla_origin[2]
+    a_c, b_c = _center_lattice(spec)
     i_rng, j_rng = lens_index_range(spec)
     radius = spec.micro_image_radius
 
@@ -333,26 +353,20 @@ def _observe_points(spec: PhysicalCameraSpec, tpp: TppParams, points_c: np.ndarr
     nj = size[point, 1]
     labels = lo[point] + np.column_stack([k // nj, k % nj])
 
-    if mla is None:
-        # the pose's points as sites, seen through their candidate lenses
-        batch = ProjectionBatch(
-            points_w=points_c, site_pose=np.zeros(len(points_c), dtype=int),
-            labels=labels, site=point, lens=np.arange(len(labels)),
-            rvecs=np.zeros((1, 3)), tvecs=np.zeros((1, 3)))
-        pixels = project_pixels(batch, tpp, dist)
-        centers = a_c * labels + b_c
-    else:
-        # only points with candidate lenses are traced through the main lens
-        seen = counts > 0
-        img = np.zeros((len(points_c), 3))
-        img[seen] = interior_image(frame.to_lens_frame(points_c[seen]),
-                                   spec.main_focal)
-        img = img[point]
-        lens_pts = lens_positions(mla, labels)
-        centers = project_centers(mla, lens_pts) - spec.sensor_origin[:2] / spec.pixel_pitch
-        t = (z_s - img[:, 2]) / (lens_pts[:, 2] - img[:, 2])
-        hit = img[:, :2] + t[:, None] * (lens_pts[:, :2] - img[:, :2])
-        pixels = (hit - spec.sensor_origin[:2]) / spec.pixel_pitch
+    # only points with candidate lenses are traced through the main lens
+    seen = counts > 0
+    img = np.zeros((len(points_c), 3))
+    img[seen] = interior_image(frame.to_lens_frame(points_c[seen]), F)
+    img = img[point]
+    lens_pts, centers = micro_lenses(spec, labels, rotation)
+    uv = k_uv * labels + (u_0, v_0)
+    lens_pts[:, :2] += _radial_shift(uv, (dist.u_c, dist.v_c), dist.t1, dist.t2) \
+        * (spec.pixel_pitch * abs(F - z_a) / F)
+    t = (z_s - img[:, 2]) / (lens_pts[:, 2] - img[:, 2])
+    hit = img[:, :2] + t[:, None] * (lens_pts[:, :2] - img[:, :2])
+    pixels = (hit - spec.sensor_origin[:2]) / spec.pixel_pitch
+    pixels += _radial_shift(pixels, (dist.x_c / k_xy, dist.y_c / k_xy),
+                            dist.s1 * k_xy**2, dist.s2 * k_xy**4)
 
     d = pixels - centers
     ok = (np.hypot(d[:, 0], d[:, 1]) <= radius) \
@@ -375,6 +389,7 @@ def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> np.ndarray:
     rng = np.random.default_rng(seed)
     spec, board = envelope.camera, envelope.board
     _, tpp = physical_to_tpp(spec)
+    frame = exterior_frame(spec)
     pts_w = np.column_stack([board.points_mm() / spec.pixel_pitch,
                              np.zeros(board.rows * board.cols)])
     center_w = pts_w.mean(axis=0)
@@ -403,7 +418,7 @@ def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> np.ndarray:
         pose = np.concatenate([rvec, np.zeros(3)])
         pose[3:] = target - apply_pose(pose, center_w)[0]
         pts_c = apply_pose(pose, pts_w)
-        point, _, _ = _observe_points(spec, tpp, pts_c, DistortionParams(), None, None)
+        point, _, _ = _observe_points(spec, tpp, frame, pts_c, DistortionParams(), None)
         if len(np.unique(point)) / len(pts_c) >= envelope.min_visible_fraction:
             poses.append(pose)
         else:
@@ -413,29 +428,31 @@ def generate_poses(n: int, seed: int, envelope: PoseEnvelope) -> np.ndarray:
 
 def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
                             poses: np.ndarray, dist: DistortionParams,
-                            noise_sigma: float, seed: int,
-                            misalignment: MlaMisalignmentSpec | None = None
+                            noise_sigma: float, seed: int, mla_rotation=None
                             ) -> Observations:
     """Emit one observation per (pose, board point, observing micro-lens);
     row k of the (P, 6) [rvec | tvec] ``poses`` gets pose id k.
 
-    Pixels come from the ground-truth scene-side TPP model (or a physical
-    trace through the misaligned MLA); i.i.d. Gaussian noise of the given
-    sigma is added afterwards in table order, deterministically per seed.
+    Pixels are traced through the thin main lens and pinhole micro-lenses,
+    the MLA turned by the Rodrigues vector ``mla_rotation`` in radians when
+    given; ``dist`` takes model form (see ``_observe_points``) and is refused
+    with a rotation (ValueError).  I.i.d. Gaussian noise of the given sigma
+    is added afterwards in table order, deterministically per seed.
     """
-    if misalignment is not None and any(
-            getattr(dist, k) != 0.0 for k in ("s1", "s2", "t1", "t2")):
-        raise ValueError("distortion plus MLA misalignment is not supported")
+    if mla_rotation is not None:
+        check_sensor_behind_mla(spec)
+        if any((dist.s1, dist.s2, dist.t1, dist.t2)):
+            raise ValueError("distortion plus MLA misalignment is not supported")
     _, tpp = physical_to_tpp(spec)
-    frame = exterior_frame(spec) if misalignment is not None else None
+    frame = exterior_frame(spec)
     pts_w = np.column_stack([board.points_mm() / spec.pixel_pitch,
                              np.zeros(board.rows * board.cols)])
     # per pose: the pose id, point ids, lens labels and pixels of its rows
     columns = [(np.empty(0, int), np.empty(0, int), np.empty((0, 2), int),
                 np.empty((0, 2)))]
     for pose_id, pose in enumerate(np.asarray(poses, dtype=float).reshape(-1, 6)):
-        point, labels, px = _observe_points(spec, tpp, apply_pose(pose, pts_w), dist,
-                                            misalignment, frame)
+        point, labels, px = _observe_points(spec, tpp, frame, apply_pose(pose, pts_w),
+                                            dist, mla_rotation)
         columns.append((np.full(len(point), pose_id), point, labels, px))
     # each pose's rows come grouped by point and ordered by label: table order
     pose, point, lens, pixel = map(np.concatenate, zip(*columns))
@@ -447,16 +464,16 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
     return Observations(pose, point, lens, pixel)
 
 
-def synthesize_white_image(spec: PhysicalCameraSpec,
-                           misalignment: MlaMisalignmentSpec | None = None
-                           ) -> np.ndarray:
-    """Render a white-scene raster: one Gaussian-profile disc per micro-image."""
-    mla = misalignment if misalignment is not None else aligned_mla(spec)
+def synthesize_white_image(spec: PhysicalCameraSpec, mla_rotation=None) -> np.ndarray:
+    """Render a white-scene raster: one Gaussian-profile disc per micro-image,
+    the MLA turned by ``mla_rotation``, a Rodrigues vector in radians, when
+    given.  Raises ValueError unless the sensor sits behind the MLA."""
+    check_sensor_behind_mla(spec)
     i_rng, j_rng = lens_index_range(spec)
     gi, gj = np.meshgrid(np.arange(i_rng.start, i_rng.stop),
                          np.arange(j_rng.start, j_rng.stop), indexing="ij")
-    labels = np.column_stack([gi.ravel(), gj.ravel()])
-    centers = micro_image_center_px(spec, labels, mla)
+    _, centers = micro_lenses(spec, np.column_stack([gi.ravel(), gj.ravel()]),
+                              mla_rotation)
 
     h, w = spec.height, spec.width
     sigma = spec.micro_image_radius / 3.0

@@ -203,10 +203,10 @@ def test_criterion_6_rectification(camera, board, board_points, setting,
                                    poses12, clean_observations):
     ensure_jacobian_gate()
     opts = RefineOptions(sensor_size=camera.sensor_resolution)
-    mla = sim.aligned_mla(camera, rotation=misalignment_rotation())
+    mla = misalignment_rotation()
     obs_mis = sim.synthesize_observations(camera, board, poses12,
                                           DistortionParams(), 0.0, 7,
-                                          misalignment=mla)
+                                          mla_rotation=mla)
     image = sim.synthesize_white_image(camera, mla)
     centers = detect_centers(image, setting.k_u)
     pre = row_slopes(centers)

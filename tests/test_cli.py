@@ -303,9 +303,11 @@ class TestIngestValidation:
         assert "pose id 0 names more than one pose block" in caplog.text
 
     @pytest.mark.parametrize("sensor_px", [[-2000, -1350], [2000, -1], [2000.0, 1350],
-                                           [2000]],
-                             ids=["negative", "negative-height", "float", "one-entry"])
+                                           [2000], [4008, 0], [0, 2672]],
+                             ids=["negative", "negative-height", "float", "one-entry",
+                                  "unknown-height", "unknown-width"])
     def test_malformed_sensor_px_exit_2(self, sim_dir, tmp_path, caplog, sensor_px):
+        # a sensor is known, both entries positive, or unknown, [0, 0]
         obs = tampered_observations(sim_dir, tmp_path,
                                     lambda p: p.update(sensor_px=sensor_px))
         assert run("calibrate", obs, "--out", tmp_path / "cal") == 2
@@ -385,6 +387,33 @@ class TestEvaluate:
         assert run("evaluate", cal / "report.json", tampered,
                    "--out", tmp_path / "eval") == 5
 
+    def test_poses_pair_by_id(self, sim_dir, tmp_path, caplog):
+        # a file without pose 1: the report keeps the table's pose ids, and
+        # evaluate pairs each with the true pose of that id
+        obs = tampered_observations(sim_dir, tmp_path, lambda p: p["poses"].pop(1))
+        truth = io.read_ground_truth(sim_dir / "ground_truth.json")
+        setting_path = tmp_path / "setting.json"
+        setting_path.write_text(json.dumps(truth["setting"]))
+        cal = tmp_path / "cal"
+        assert run("calibrate", obs, "--out", cal, "--setting", setting_path) == 0
+        report = io.read_report(cal / "report.json")
+        table = np.loadtxt(cal / "residuals.csv", delimiter=",", skiprows=1)
+        for stage in ("linear", "refined"):
+            ids = [pose["id"] for pose in report[stage]["poses"]]
+            assert ids == [0, 2, 3, 4, 5] == np.unique(table[:, 0]).tolist()
+        assert run("evaluate", cal / "report.json", sim_dir / "ground_truth.json",
+                   "--out", tmp_path / "eval") == 0
+        metrics = io.load_json(tmp_path / "eval" / "metrics.json")
+        assert len(metrics["refined"]["pose_errors"]) == 5
+        for pose in metrics["refined"]["pose_errors"]:
+            assert pose["rotation_rad"] < 1e-6 and pose["translation_rel"] < 1e-6
+        # an estimated pose the truth does not have is a gauge mismatch
+        report["refined"]["poses"][0]["id"] = 6
+        io.dump_json(cal / "report.json", report)
+        assert run("evaluate", cal / "report.json", sim_dir / "ground_truth.json",
+                   "--out", tmp_path / "eval2") == 5
+        assert "estimated pose id 6 has no ground-truth pose" in caplog.text
+
     @pytest.mark.parametrize("missing", ["setting", "results"])
     def test_malformed_report_exit_2(self, sim_dir, tmp_path, missing):
         truth = io.read_ground_truth(sim_dir / "ground_truth.json")
@@ -431,11 +460,15 @@ class TestWronglyTypedJson:
         ("truth", lambda p: p["poses"][2]["tvec"].__setitem__(1, float("nan"))),
         ("truth", lambda p: p["poses"][0]["rvec"].__setitem__(0, float("inf"))),
         ("truth", lambda p: p["poses"][1].update(tvec=[[1.0, 2.0, 3.0]])),
+        ("report", lambda p: p["refined"]["poses"][1].update(id=0)),
+        ("truth", lambda p: p["poses"][3].update(id="3")),
     ], ids=["report-two-rvec-entries", "report-four-tvec-entries", "report-string-rvec",
-            "truth-nan-tvec", "truth-infinite-rvec", "truth-nested-tvec"])
+            "truth-nan-tvec", "truth-infinite-rvec", "truth-nested-tvec",
+            "report-repeated-id", "truth-string-id"])
     def test_evaluate_malformed_pose_record_exit_2(self, sim_dir, report_path, tmp_path,
                                                    source, edit):
-        # every pose record needs an rvec and a tvec of three finite numbers
+        # every pose record needs a distinct integer id, and an rvec and a
+        # tvec of three finite numbers
         paths = {"report": report_path, "truth": sim_dir / "ground_truth.json"}
         payload = json.loads(paths[source].read_text())
         edit(payload)

@@ -11,26 +11,23 @@ from scipy.spatial import cKDTree
 
 from plenocal import rectification
 from plenocal import simulator as sim
-from plenocal.errors import (AmbiguousPitch, DegenerateConfiguration,
-                             DegenerateGeometry, NoGridFound, PointAtInfinity,
-                             TooFewCenters)
+from plenocal.errors import (AmbiguousPitch, DegenerateConfiguration, NoGridFound,
+                             PointAtInfinity, TooFewCenters)
 from plenocal.projection import Observations
-from plenocal.rectification import (MicroImageCenters, MlaMisalignmentSpec,
-                                    apply_homography, detect_centers,
-                                    estimate_rectifying_homography, lens_positions,
-                                    project_centers, read_pgm,
+from plenocal.rectification import (MicroImageCenters, apply_homography, detect_centers,
+                                    estimate_rectifying_homography, read_pgm,
                                     rectify_observations, row_slopes, write_pgm)
 
 
-def make_mla(rotation=(0.0, 0.0, 0.0), offset=(0.0, 0.0, 65.0)):
-    return MlaMisalignmentSpec(rotation=np.asarray(rotation, float),
-                               offset=np.asarray(offset, float),
-                               lens_pitch=0.3, sensor_gap=3.4, pixel_pitch=0.009)
-
-
-def mla_centers(mla, labels):
-    """Axis-relative micro-image centers of the labelled lenses."""
-    return project_centers(mla, lens_positions(mla, labels))
+def mla_centers(rotation, labels):
+    """Micro-image centers of the labelled lenses of an array 65 mm behind
+    the main lens, turned by ``rotation``, with the sensor 3.4 mm behind it
+    and pixel (0, 0) on the optical axis."""
+    spec = sim.PhysicalCameraSpec(
+        main_focal=50.0, sensor_origin=(0.0, 0.0, 68.4), mla_origin=(0.0, 0.0, 65.0),
+        pixel_pitch=0.009, sensor_resolution=(100, 100), lens_pitch=0.3,
+        micro_image_radius=10.0)
+    return sim.micro_lenses(spec, labels, rotation)[1]
 
 
 def label_grid(ni, nj):
@@ -106,45 +103,6 @@ def reference_seeds(work, pitch):
     return yx[:, ::-1].copy()
 
 
-class TestProjectCenter:
-    def test_identity_rotation_uniform_grid(self):
-        mla = make_mla()
-        labels = label_grid(10, 8)
-        c = mla_centers(mla, labels)
-        mag = (mla.offset[2] + mla.sensor_gap) / mla.offset[2]
-        expected = labels * (mla.lens_pitch * mag / mla.pixel_pitch)
-        np.testing.assert_allclose(c, expected, atol=1e-9)
-        # pairwise spacing constant to 1e-12
-        by = {tuple(l): xy for l, xy in zip(map(tuple, labels), c)}
-        sp = [np.hypot(*(np.subtract(by[(i + 1, j)], by[(i, j)])))
-              for (i, j) in by if (i + 1, j) in by]
-        assert np.ptp(sp) < 1e-12 * np.mean(sp)
-
-    def test_reference_lens_any_rotation(self):
-        mla = make_mla(rotation=(0.02, -0.015, 0.4), offset=(1.5, -2.5, 65.0))
-        c = mla_centers(mla, [[0, 0]])[0]
-        mag = (mla.offset[2] + mla.sensor_gap) / mla.offset[2]
-        np.testing.assert_allclose(c,
-                                   (mag * 1.5 / 0.009, mag * -2.5 / 0.009))
-
-    def test_y_rotation_slopes_descend_linearly(self):
-        mla = make_mla(rotation=(0.0, np.radians(0.5), 0.0))
-        labels = label_grid(40, 20)
-        slopes = row_slopes(MicroImageCenters(labels, mla_centers(mla, labels)))
-        js = np.array([j for j, _ in slopes], float)
-        vs = np.array([s for _, s in slopes])
-        coef = np.polyfit(js, vs, 1)
-        resid = vs - np.polyval(coef, js)
-        assert np.ptp(vs) > 0
-        assert np.abs(resid).max() < 1e-3 * np.ptp(vs)
-
-    def test_degenerate_geometry(self):
-        mla = make_mla(rotation=(0.0, np.radians(89.0), 0.0),
-                       offset=(0.0, 0.0, 1.0))
-        with pytest.raises(DegenerateGeometry):
-            mla_centers(mla, [[40, 0]])
-
-
 class TestMicroImageCenters:
     def test_rows_sorted_by_j_then_i(self):
         centers = MicroImageCenters([(1, 1), (0, 2), (0, 1), (1, 1)],
@@ -190,9 +148,9 @@ class TestRectifyingHomography:
         assert fit.rms < 1e-9
 
     def test_misalignment_round_trip(self):
-        mla = make_mla(rotation=np.radians([0.1, 0.5, 0.2]))
         labels = label_grid(40, 25)
-        centers = MicroImageCenters(labels, mla_centers(mla, labels))
+        centers = MicroImageCenters(labels,
+                                    mla_centers(np.radians([0.1, 0.5, 0.2]), labels))
         fit = estimate_rectifying_homography(centers)
         assert fit.rms < 0.05
 
@@ -201,9 +159,9 @@ class TestRectifyingHomography:
         for deg in (0.3, 0.5, 1.0, 2.0):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            mla = make_mla(rotation=np.radians(deg) * axis)
             labels = label_grid(40, 25)
-            centers = MicroImageCenters(labels, mla_centers(mla, labels))
+            centers = MicroImageCenters(labels,
+                                        mla_centers(np.radians(deg) * axis, labels))
             before = row_slopes(centers)
             fit = estimate_rectifying_homography(centers)
             after = row_slopes(rectify_observations(centers, fit.homography))
@@ -212,9 +170,9 @@ class TestRectifyingHomography:
             assert rng_a < rng_b
 
     def test_refit_on_own_output_is_identity(self):
-        mla = make_mla(rotation=np.radians([0.0, 0.6, 0.1]))
         labels = label_grid(30, 20)
-        centers = MicroImageCenters(labels, mla_centers(mla, labels))
+        centers = MicroImageCenters(labels,
+                                    mla_centers(np.radians([0.0, 0.6, 0.1]), labels))
         fit = estimate_rectifying_homography(centers)
         refit = estimate_rectifying_homography(
             rectify_observations(centers, fit.homography))
@@ -255,7 +213,7 @@ class TestDetectCenters:
         centers = detect_centers(img, pitch)
         i_rng, j_rng = sim.lens_index_range(spec)
         labels = np.array([(i, j) for i in i_rng for j in j_rng])
-        truth_xy = sim.micro_image_center_px(spec, labels, sim.aligned_mla(spec))
+        truth_xy = sim.micro_lenses(spec, labels)[1]
         truth = {tuple(l): xy for l, xy in zip(map(tuple, labels), truth_xy)}
         # labels from detection are defined relative to the central blob
         best = np.argmin(np.hypot(*(centers.pixel - (330, 250)).T))
@@ -279,7 +237,7 @@ class TestDetectCenters:
         centers = detect_centers(white_image, pitch)
         i_rng, j_rng = sim.lens_index_range(camera)
         labels = np.array([(i, j) for i in i_rng for j in j_rng])
-        truth_xy = sim.micro_image_center_px(camera, labels, sim.aligned_mla(camera))
+        truth_xy = sim.micro_lenses(camera, labels)[1]
         expected = sum(1 for xy in truth_xy
                        if 0 <= xy[0] < camera.width and 0 <= xy[1] < camera.height)
         assert len(centers) >= 0.9 * expected
@@ -296,8 +254,7 @@ class TestDetectCenters:
 
     def test_rotated_labels_consistent(self):
         spec = small_camera()
-        mla = sim.aligned_mla(spec, rotation=np.radians([0.0, 0.5, 0.0]))
-        img = sim.synthesize_white_image(spec, mla)
+        img = sim.synthesize_white_image(spec, np.radians([0.0, 0.5, 0.0]))
         centers = detect_centers(img, sim.default_setting(spec).k_u)
         # an affine lattice fit must explain every label without row skips
         A = np.column_stack([centers.label, np.ones(len(centers))])
@@ -310,9 +267,8 @@ class TestDetectCenters:
 @pytest.fixture(scope="module")
 def rotated_white():
     spec = small_camera()
-    mla = sim.aligned_mla(spec, rotation=np.radians([0.0, 0.5, 0.0]))
     pitch = sim.default_setting(spec).k_u
-    img = sim.synthesize_white_image(spec, mla)
+    img = sim.synthesize_white_image(spec, np.radians([0.0, 0.5, 0.0]))
     return img, pitch, reference_seeds(reference_work(img), pitch)
 
 
@@ -527,9 +483,8 @@ def reference_rectify_centers(centers, H):
 
 @pytest.mark.parametrize("misaligned", [False, True], ids=["aligned", "misaligned"])
 def test_table_fit_equals_object_reference(camera, white_image, misaligned):
-    image = (sim.synthesize_white_image(
-        camera, sim.aligned_mla(camera, rotation=np.radians([0.2, -0.1, 0.3])))
-        if misaligned else white_image)
+    image = (sim.synthesize_white_image(camera, np.radians([0.2, -0.1, 0.3]))
+             if misaligned else white_image)
     centers = detect_centers(image, sim.default_setting(camera).k_u)
     objects = [RefCenter(i, j, x, y) for (i, j), (x, y) in
                zip(centers.label.tolist(), centers.pixel.tolist())]
@@ -570,15 +525,15 @@ def test_end_to_end_misalignment_recovery(camera, board, board_points, setting,
     from plenocal.projection import DistortionParams
     axis = np.array([0.064, 0.048, 0.99679])
     axis /= np.linalg.norm(axis)
-    mla = sim.aligned_mla(camera, rotation=np.radians(0.5) * axis)
+    rotation = np.radians(0.5) * axis
     opts = RefineOptions(sensor_size=camera.sensor_resolution)
     obs_c = sim.synthesize_observations(camera, board, poses12,
                                         DistortionParams(), 0.1, 7)
     ref_c = calibrate(obs_c, board_points, setting, opts).refined
     obs_m = sim.synthesize_observations(camera, board, poses12,
                                         DistortionParams(), 0.1, 7,
-                                        misalignment=mla)
-    image = sim.synthesize_white_image(camera, mla)
+                                        mla_rotation=rotation)
+    image = sim.synthesize_white_image(camera, rotation)
     fit = estimate_rectifying_homography(
         detect_centers(image, sim.default_setting(camera).k_u))
     obs_r = rectify_observations(obs_m, fit.homography)

@@ -1,5 +1,7 @@
 """Physical-to-TPP mapping, pose generation, synthesis, and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,7 +138,7 @@ class TestSynthesize:
                                         DistortionParams(), 0.0, 1)
         b = sim.synthesize_observations(camera, board, poses,
                                         DistortionParams(), 0.0, 1,
-                                        misalignment=sim.aligned_mla(camera))
+                                        mla_rotation=np.zeros(3))
         assert len(a) == len(b)
         for column in ("pose", "point", "lens"):
             np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
@@ -146,7 +148,7 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             sim.synthesize_observations(camera, board, poses12,
                                         DistortionParams(t1=1e-12), 0.0, 1,
-                                        misalignment=sim.aligned_mla(camera))
+                                        mla_rotation=np.zeros(3))
 
     def test_pixels_inside_sensor(self, noisy_observations, camera):
         # noise is added after the visibility test, so allow its tail
@@ -166,7 +168,7 @@ class TestWhiteImage:
         centers = detect_centers(white_image, pitch)
         i_rng, j_rng = sim.lens_index_range(camera)
         labels = np.array([(i, j) for i in i_rng for j in j_rng])
-        truth_xy = sim.micro_image_center_px(camera, labels, sim.aligned_mla(camera))
+        truth_xy = sim.micro_lenses(camera, labels)[1]
         truth = {tuple(l): xy for l, xy in zip(map(tuple, labels), truth_xy)}
         w, h = camera.width, camera.height
         best = np.argmin(np.hypot(*(centers.pixel - (w / 2, h / 2)).T))
@@ -179,8 +181,7 @@ class TestWhiteImage:
 
     def test_misaligned_slopes_descend(self, camera):
         from plenocal.rectification import detect_centers, row_slopes
-        mla = sim.aligned_mla(camera, rotation=np.radians([0.0, 0.5, 0.0]))
-        img = sim.synthesize_white_image(camera, mla)
+        img = sim.synthesize_white_image(camera, np.radians([0.0, 0.5, 0.0]))
         centers = detect_centers(img, sim.default_setting(camera).k_u)
         slopes = row_slopes(centers)
         js = np.array([j for j, _ in slopes], float)
@@ -199,19 +200,23 @@ def test_loop_closure(clean_observations, board_points, setting, tpp_truth):
 
 
 # --- references: the per-point, per-draw and per-lens loops the batched
-# simulator replaced; every batched result must equal theirs bit for bit ---
+# simulator replaced.  Without a rotation the per-point reference projects
+# through the fitted TPP model, so it is also the oracle of the paper's claim
+# that the physical trace is a TPP camera: rows must match and pixels agree
+# within 1e-9 px.  With a rotation it traces like the simulator, and tables,
+# white images and pose arrays must equal theirs bit for bit ---
 
-def reference_observe_points(spec, tpp, points_c, dist, mla, frame):
+def reference_observe_points(spec, tpp, points_c, dist, rotation):
     """Per scene point, the labels and pixels of its observing lenses."""
     import math
     from plenocal.errors import BehindPlane
     from plenocal.projection import ProjectionBatch, project_pixels
-    from plenocal.rectification import lens_positions
     k_xy, k_uv, u_0, v_0, f = tpp.k_x, tpp.k_u, tpp.u_0, tpp.v_0, tpp.f
     z_s, z_a = spec.sensor_origin[2], spec.mla_origin[2]
     a_c = (z_s / z_a) * spec.lens_pitch / spec.pixel_pitch
     b_c = ((z_s / z_a) * spec.mla_origin[:2] - spec.sensor_origin[:2]) / spec.pixel_pitch
     i_rng, j_rng = sim.lens_index_range(spec)
+    frame = sim.exterior_frame(spec)
     radius = spec.micro_image_radius
     results = []
     for X in np.atleast_2d(points_c):
@@ -236,7 +241,7 @@ def reference_observe_points(spec, tpp, points_c, dist, mla, frame):
             continue
         gi, gj = np.meshgrid(ii, jj, indexing="ij")
         labels = np.column_stack([gi.ravel(), gj.ravel()])
-        if mla is None:
+        if rotation is None:
             batch = ProjectionBatch(
                 points_w=X, site_pose=[0], labels=labels,
                 site=np.zeros(len(labels), dtype=int), lens=np.arange(len(labels)),
@@ -246,11 +251,10 @@ def reference_observe_points(spec, tpp, points_c, dist, mla, frame):
         else:
             q = frame.to_lens_frame(X)[0]
             img = sim.interior_image(q, spec.main_focal)[0]
-            lens_pts = lens_positions(mla, labels)
+            lens_pts, centers = sim.micro_lenses(spec, labels, rotation)
             t = (z_s - img[2]) / (lens_pts[:, 2] - img[2])
             hit = img[None, :2] + t[:, None] * (lens_pts[:, :2] - img[None, :2])
             pixels = (hit - spec.sensor_origin[:2]) / spec.pixel_pitch
-            centers = sim.micro_image_center_px(spec, labels, mla)
         d = pixels - centers
         ok = (np.hypot(d[:, 0], d[:, 1]) <= radius) \
             & (pixels[:, 0] >= 0) & (pixels[:, 0] <= spec.width - 1) \
@@ -290,7 +294,7 @@ def reference_generate_poses(n, seed, envelope):
         pose = np.r_[rvec, 0.0, 0.0, 0.0]
         pose[3:] = target - apply_pose(pose, center_w)[0]
         seen = reference_observe_points(spec, tpp, apply_pose(pose, pts_w),
-                                        DistortionParams(), None, None)
+                                        DistortionParams(), None)
         if np.mean([len(lbl) > 0 for lbl, _ in seen]) >= envelope.min_visible_fraction:
             poses.append(pose)
         else:
@@ -298,16 +302,15 @@ def reference_generate_poses(n, seed, envelope):
     return np.array(poses), rejections
 
 
-def reference_observations(spec, board, poses, dist, mla=None):
+def reference_observations(spec, board, poses, dist, rotation=None):
     """Noise-free table assembled point by point from the reference."""
     _, tpp = sim.physical_to_tpp(spec)
-    frame = sim.exterior_frame(spec) if mla is not None else None
     pts_w = np.column_stack([board.points_mm() / spec.pixel_pitch,
                              np.zeros(board.rows * board.cols)])
     pose_ids, point_ids, lenses, pixels = [], [], [np.empty((0, 2), int)], [np.empty((0, 2))]
     for pose_id, pose in enumerate(poses):
-        seen = reference_observe_points(spec, tpp, apply_pose(pose, pts_w), dist, mla,
-                                        frame)
+        seen = reference_observe_points(spec, tpp, apply_pose(pose, pts_w), dist,
+                                        rotation)
         for point_id, (labels, px) in enumerate(seen):
             pose_ids += [pose_id] * len(labels)
             point_ids += [point_id] * len(labels)
@@ -318,15 +321,14 @@ def reference_observations(spec, board, poses, dist, mla=None):
                         np.concatenate(lenses), np.concatenate(pixels))
 
 
-def reference_white_image(spec, mla=None):
+def reference_white_image(spec, rotation=None):
     """The white raster stamped one micro-image at a time."""
     import math
-    mla = mla if mla is not None else sim.aligned_mla(spec)
     i_rng, j_rng = sim.lens_index_range(spec)
     gi, gj = np.meshgrid(np.arange(i_rng.start, i_rng.stop),
                          np.arange(j_rng.start, j_rng.stop), indexing="ij")
-    centers = sim.micro_image_center_px(
-        spec, np.column_stack([gi.ravel(), gj.ravel()]), mla)
+    _, centers = sim.micro_lenses(spec, np.column_stack([gi.ravel(), gj.ravel()]),
+                                  rotation)
     h, w = spec.height, spec.width
     img = np.zeros((h, w))
     sigma = spec.micro_image_radius / 3.0
@@ -351,12 +353,22 @@ def assert_same_table(a, b):
         assert x.tobytes() == y.tobytes(), column
 
 
+def assert_same_rows(a, b, tol=1e-9):
+    """Identical (pose, point, lens) rows with pixels within ``tol`` px."""
+    for column in ("pose", "point", "lens"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert x.dtype == y.dtype and x.shape == y.shape, column
+        assert x.tobytes() == y.tobytes(), column
+    assert a.pixel.shape == b.pixel.shape
+    assert np.abs(a.pixel - b.pixel).max(initial=0.0) < tol
+
+
 def assert_same_poses(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert a.tobytes() == b.tobytes()
 
 
-MISALIGNED_DEG = (0.2, -0.1, 0.3)
+MISALIGNED_ROTATION = np.radians((0.2, -0.1, 0.3))
 DISTORTED = DistortionParams(s1=1e-9, s2=-1e-16, t1=1e-10, t2=1e-17,
                              x_c=1500.0, y_c=900.0, u_c=-40.0, v_c=25.0)
 
@@ -372,21 +384,23 @@ class TestBatchedEqualsReference:
     def test_tables(self, request, camera, board, mode, pose_set):
         poses = request.getfixturevalue(pose_set)
         dist = DISTORTED if mode == "distorted" else DistortionParams()
-        mla = (sim.aligned_mla(camera, np.radians(MISALIGNED_DEG))
-               if mode == "misaligned" else None)
+        rotation = MISALIGNED_ROTATION if mode == "misaligned" else None
         got = sim.synthesize_observations(camera, board, poses, dist, 0.0, 1,
-                                          misalignment=mla)
+                                          mla_rotation=rotation)
+        want = reference_observations(camera, board, poses, dist, rotation)
         assert len(got) > 0
-        assert_same_table(got, reference_observations(camera, board, poses, dist, mla))
+        if rotation is None:
+            assert_same_rows(got, want)
+        else:
+            assert_same_table(got, want)
 
     @pytest.mark.parametrize("mode", ["aligned", "misaligned"])
     def test_noise_added_in_table_order(self, camera, board, poses12, mode):
         # one normal draw per row of the sorted table, in row order
-        mla = (sim.aligned_mla(camera, np.radians(MISALIGNED_DEG))
-               if mode == "misaligned" else None)
+        rotation = MISALIGNED_ROTATION if mode == "misaligned" else None
         clean, noisy = (sim.synthesize_observations(camera, board, poses12,
                                                     DistortionParams(), sigma, 5,
-                                                    misalignment=mla)
+                                                    mla_rotation=rotation)
                         for sigma in (0.0, 0.3))
         noise = np.random.default_rng(5).normal(0.0, 0.3, size=(len(clean), 2))
         assert_same_table(noisy, Observations(clean.pose, clean.point, clean.lens,
@@ -426,13 +440,15 @@ class TestObservePoints:
     @staticmethod
     def observe(camera, points):
         _, tpp = sim.physical_to_tpp(camera)
-        got = sim._observe_points(camera, tpp, points, DistortionParams(), None, None)
-        ref = reference_observe_points(camera, tpp, points, DistortionParams(),
-                                       None, None)
+        got = sim._observe_points(camera, tpp, sim.exterior_frame(camera), points,
+                                  DistortionParams(), None)
+        ref = reference_observe_points(camera, tpp, points, DistortionParams(), None)
         point = np.repeat(np.arange(len(ref)), [len(lbl) for lbl, _ in ref])
         assert got[0].tobytes() == point.tobytes()
         assert got[1].tobytes() == np.concatenate([lbl for lbl, _ in ref]).tobytes()
-        assert got[2].tobytes() == np.concatenate([px for _, px in ref]).tobytes()
+        pixels = np.concatenate([px for _, px in ref])
+        assert got[2].shape == pixels.shape
+        assert np.abs(got[2] - pixels).max(initial=0.0) < 1e-9
         return got
 
     def test_slope_zero_depth_caps_the_window(self, camera, seen_point):
@@ -458,20 +474,18 @@ class TestObservePoints:
         _, tpp = sim.physical_to_tpp(camera)
         points = np.array([seen_point, [0.0, 0.0, tpp.f]])
         with pytest.raises(BehindPlane):
-            sim._observe_points(camera, tpp, points, DistortionParams(), None, None)
+            sim._observe_points(camera, tpp, sim.exterior_frame(camera), points,
+                                DistortionParams(), None)
 
 
 class TestWhiteImageEqualsReference:
-    @pytest.mark.parametrize("rotation_deg", [None, MISALIGNED_DEG],
+    @pytest.mark.parametrize("rotation", [None, MISALIGNED_ROTATION],
                              ids=["aligned", "misaligned"])
-    def test_reference_camera(self, camera, white_image, rotation_deg):
-        if rotation_deg is None:
-            mla, got = None, white_image
-        else:
-            mla = sim.aligned_mla(camera, np.radians(rotation_deg))
-            got = sim.synthesize_white_image(camera, mla)
+    def test_reference_camera(self, camera, white_image, rotation):
+        got = (white_image if rotation is None
+               else sim.synthesize_white_image(camera, rotation))
         assert got.dtype == np.uint16 and got.shape == (camera.height, camera.width)
-        assert got.tobytes() == reference_white_image(camera, mla).tobytes()
+        assert got.tobytes() == reference_white_image(camera, rotation).tobytes()
 
     def test_centers_left_of_and_above_the_sensor(self, camera):
         # lens (0, 0) images at (-8.3, -4.1): int() truncates toward zero,
@@ -483,7 +497,7 @@ class TestWhiteImageEqualsReference:
             mla_origin=(0.0, 0.0, camera.mla_origin[2]), pixel_pitch=pitch,
             sensor_resolution=(150, 110), lens_pitch=camera.lens_pitch,
             micro_image_radius=camera.micro_image_radius)
-        center = sim.micro_image_center_px(small, np.array([[0, 0]]))[0]
+        center = sim.micro_lenses(small, np.array([[0, 0]]))[1][0]
         half = int(np.ceil(small.micro_image_radius))
         assert -half <= center[0] < 0 and -half <= center[1] < 0
         got = sim.synthesize_white_image(small)
@@ -501,3 +515,136 @@ def test_synthesis_memory_is_per_pose(camera, board, poses48):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# --- the paper's claim: a focused plenoptic camera, traced physically, is a
+# TPP camera.  At sigma = 0 the fitted model with the true parameters and
+# the same model-form distortion reproduces every traced pixel ---
+
+def galilean_camera():
+    """The reference camera with its MLA five micro-gaps in front of the
+    intermediate image of the 1.5 m focus plane and the sensor one gap
+    behind the MLA (a Galilean layout)."""
+    ref = sim.reference_camera()
+    image_z = 50.0 * 1500.0 / (1500.0 - 50.0)
+    gap = 2.726 * 5.0 / 4.0
+    mla_z = image_z - 5.0 * gap
+    return replace(ref, sensor_origin=(*ref.sensor_origin[:2], mla_z + gap),
+                   mla_origin=(*ref.mla_origin[:2], mla_z))
+
+
+def sensor_in_front_camera():
+    """A compact camera with the sensor mirrored to the main-lens side of
+    the MLA, which the CLI refuses for white images and rotated arrays."""
+    return sim.PhysicalCameraSpec(
+        main_focal=50.0, sensor_origin=(-9.0, -6.1, 2 * 65.35 - 68.76),
+        mla_origin=(0.07, -0.05, 65.35), pixel_pitch=0.009,
+        sensor_resolution=(2000, 1350), lens_pitch=0.3, micro_image_radius=16.5)
+
+
+SWEEP_CAMERAS = {
+    "reference": (sim.reference_camera, sim.reference_board()),
+    "galilean": (galilean_camera, sim.reference_board()),
+    "sensor-in-front": (sensor_in_front_camera, sim.BoardSpec(5, 5, (27.0, 27.0))),
+}
+
+
+def distorted_like_reference(tpp):
+    """DISTORTED carried to another camera: the same x-y map in sensor
+    pixels, and the u-v center at the same place relative to the u-v offset.
+    On the reference camera it is DISTORTED itself."""
+    ref = sim.physical_to_tpp(sim.reference_camera())[1]
+    s = ref.k_x / tpp.k_x
+    return replace(DISTORTED, s1=DISTORTED.s1 * s**2, s2=DISTORTED.s2 * s**4,
+                   x_c=DISTORTED.x_c / s, y_c=DISTORTED.y_c / s,
+                   u_c=DISTORTED.u_c + tpp.u_0 - ref.u_0,
+                   v_c=DISTORTED.v_c + tpp.v_0 - ref.v_0)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("distortion", ["none", "distorted", "criterion-5"])
+@pytest.mark.parametrize("camera_name", list(SWEEP_CAMERAS))
+def test_physical_trace_is_a_tpp_camera(camera_name, distortion, seed):
+    from test_acceptance import reference_distortion
+    make_camera, board = SWEEP_CAMERAS[camera_name]
+    camera = make_camera()
+    _, tpp = sim.physical_to_tpp(camera)
+    if distortion == "none":
+        dist = DistortionParams()
+    elif distortion == "distorted":
+        dist = distorted_like_reference(tpp)
+    else:
+        t1, t2 = reference_distortion(camera, tpp)
+        dist = DistortionParams(t1=t1, t2=t2, u_c=tpp.u_0, v_c=tpp.v_0)
+    env = sim.default_envelope(camera, board, (1300.0, 1700.0))
+    poses = sim.generate_poses(12, seed, env)
+    obs = sim.synthesize_observations(camera, board, poses, dist, 0.0, 0)
+    assert len(obs) > 1000
+    # residuals take one pose row per pose id that has observations
+    _, rms = residuals(obs, board.points_mm() / camera.pixel_pitch,
+                       poses[np.unique(obs.pose)], tpp, dist)
+    assert rms < 1e-9
+
+
+def test_generator_does_not_use_the_fitted_projection():
+    # the simulator must not share the function calibrate fits, or a fault
+    # in it would pass every recovery criterion unseen
+    from plenocal import projection
+    for name in ("project_pixels", "ProjectionBatch"):
+        assert not hasattr(sim, name)
+        assert getattr(projection, name) not in vars(sim).values()
+
+
+class TestMicroLenses:
+    @staticmethod
+    def camera(mla_origin=(0.0, 0.0, 65.0)):
+        # sensor 3.4 mm behind the array, pixel (0, 0) on the optical axis
+        return sim.PhysicalCameraSpec(
+            main_focal=50.0, sensor_origin=(0.0, 0.0, mla_origin[2] + 3.4),
+            mla_origin=mla_origin, pixel_pitch=0.009, sensor_resolution=(100, 100),
+            lens_pitch=0.3, micro_image_radius=10.0)
+
+    @staticmethod
+    def label_grid(ni, nj):
+        ii, jj = np.meshgrid(np.arange(-ni, ni + 1), np.arange(-nj, nj + 1),
+                             indexing="ij")
+        return np.column_stack([ii.ravel(), jj.ravel()])
+
+    def test_identity_rotation_uniform_grid(self):
+        spec = self.camera()
+        labels = self.label_grid(10, 8)
+        _, c = sim.micro_lenses(spec, labels, np.zeros(3))
+        mag = spec.sensor_origin[2] / spec.mla_origin[2]
+        expected = labels * (spec.lens_pitch * mag / spec.pixel_pitch)
+        np.testing.assert_allclose(c, expected, atol=1e-9)
+        # pairwise spacing constant to 1e-12
+        by = {tuple(l): xy for l, xy in zip(map(tuple, labels), c)}
+        sp = [np.hypot(*(np.subtract(by[(i + 1, j)], by[(i, j)])))
+              for (i, j) in by if (i + 1, j) in by]
+        assert np.ptp(sp) < 1e-12 * np.mean(sp)
+        np.testing.assert_array_equal(sim.micro_lenses(spec, labels)[1], c)
+
+    def test_reference_lens_any_rotation(self):
+        spec = self.camera(mla_origin=(1.5, -2.5, 65.0))
+        lens, c = sim.micro_lenses(spec, [[0, 0]], (0.02, -0.015, 0.4))
+        np.testing.assert_array_equal(lens[0], spec.mla_origin)
+        mag = spec.sensor_origin[2] / spec.mla_origin[2]
+        np.testing.assert_allclose(c[0], (mag * 1.5 / 0.009, mag * -2.5 / 0.009))
+
+    def test_y_rotation_slopes_descend_linearly(self):
+        from plenocal.rectification import MicroImageCenters, row_slopes
+        labels = self.label_grid(40, 20)
+        _, c = sim.micro_lenses(self.camera(), labels, (0.0, np.radians(0.5), 0.0))
+        slopes = row_slopes(MicroImageCenters(labels, c))
+        js = np.array([j for j, _ in slopes], float)
+        vs = np.array([s for _, s in slopes])
+        coef = np.polyfit(js, vs, 1)
+        resid = vs - np.polyval(coef, js)
+        assert np.ptp(vs) > 0
+        assert np.abs(resid).max() < 1e-3 * np.ptp(vs)
+
+    def test_degenerate_geometry(self):
+        from plenocal.errors import DegenerateGeometry
+        spec = self.camera(mla_origin=(0.0, 0.0, 1.0))
+        with pytest.raises(DegenerateGeometry):
+            sim.micro_lenses(spec, [[40, 0]], (0.0, np.radians(89.0), 0.0))

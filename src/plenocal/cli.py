@@ -285,6 +285,7 @@ def cmd_rectify(args) -> int:
     try:
         observations, board_points, meta = io.read_observations(args.observations)
         centers = io.read_centers(args.centers) if args.centers else None
+        white = read_pgm(args.white_image) if args.white_image else None
         pitch = args.pitch
         if args.white_image and pitch is None:
             pitch = setting_from_observations(observations, meta["sensor_px"]).k_u
@@ -293,11 +294,11 @@ def cmd_rectify(args) -> int:
         return EXIT_CONFIG
     try:
         if centers is None:
-            centers = detect_centers(read_pgm(args.white_image), pitch)
+            centers = detect_centers(white, pitch)
         fit = estimate_rectifying_homography(centers)
         before = row_slopes(centers)
         after = row_slopes(rectify_observations(centers, fit.homography))
-    except (PlenocalError, OSError, ValueError) as exc:
+    except (PlenocalError, ValueError) as exc:
         log.error("rectification failed: %s: %s", type(exc).__name__, exc)
         return EXIT_DETECTION
     range_before, range_after = (float(np.ptp([s for _, s in slopes]))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .errors import (AmbiguousPitch, DegenerateConfiguration, NoGridFound,
@@ -30,7 +29,7 @@ _BACKGROUND_PERCENTILE = 20.0
 _CENTROID_RADIUS = 0.45
 _ATTACH_RADIUS = 0.35         # lattice walk: max deviation from predicted site
 _MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])  # +i, -i, +j, -j
-_CENTROID_CHUNK = 1024        # centroid windows gathered per batch
+_WINDOW_CHUNK = 1024          # raster windows gathered per batch
 _DLT_RANK_TOL = 1e-8
 
 
@@ -60,28 +59,87 @@ def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.
     """Local-maximum blob seeds as (N, 2) pixel coordinates (x, y).
 
     A seed is the mean position of one 4-connected plateau of pixels that
-    equal the maximum of their neighborhood and rise above ``_PEAK_FRACTION``
-    of the peak over the background.  Subtracting the background and clipping
-    at zero is monotone, so the maxima are found on the raster itself.
+    equal the maximum of their square window of about 0.7 pitch, clipped to
+    the raster, and rise above ``_PEAK_FRACTION`` of the peak over the
+    background.  Seeds come in raster order of their plateau's first pixel.
+
+    Only pixels that clear a brightness bound and are no lower than their four
+    neighbours are kept from the full raster; the exact brightness test, the
+    window test and the plateau labelling run on those few alone.
     """
     peak = max(float(raster.max()) - background, 0.0)
     if peak <= 0.0:
         return np.empty((0, 2))
+    floor = _PEAK_FRACTION * peak
+    # every v with v - background > floor is at least this bound, whatever
+    # the rounding of the sum; an integer raster compares with an integer bound
+    bound = background + floor
+    bound -= 2.0 * np.spacing(abs(bound))
+    if raster.dtype.kind in "ui":
+        info = np.iinfo(raster.dtype)
+        bound = raster.dtype.type(min(max(math.floor(bound), info.min), info.max))
+    cand = raster >= bound
+    cand[:, 1:] &= raster[:, 1:] >= raster[:, :-1]
+    cand[:, :-1] &= raster[:, :-1] >= raster[:, 1:]
+    cand[1:] &= raster[1:] >= raster[:-1]
+    cand[:-1] &= raster[:-1] >= raster[1:]
+    lin = np.flatnonzero(cand)
+    del cand
+    flat = raster.ravel()
+    lin = lin[flat[lin] - background > floor]
+
+    # window maxima; clipping the indices to the raster gives the maximum of
+    # the clipped window, which is maximum_filter's reflected-border maximum
     size = max(3, int(round(pitch * 0.7)) | 1)
-    ys, xs = np.nonzero(raster == ndimage.maximum_filter(raster, size=size))
-    bright = raster[ys, xs] - background > _PEAK_FRACTION * peak
-    ys, xs = ys[bright], xs[bright]
-    is_max = np.zeros(raster.shape, dtype=bool)
-    is_max[ys, xs] = True
-    labeled, count = ndimage.label(is_max)
-    if count == 0:
+    offsets = np.arange(size) - size // 2
+    h, w = raster.shape
+    is_max = np.empty(lin.size, dtype=bool)
+    for lo in range(0, lin.size, _WINDOW_CHUNK):
+        at = lin[lo:lo + _WINDOW_CHUNK]
+        ys, xs = np.divmod(at, w)
+        rows = np.clip(ys[:, None] + offsets, 0, h - 1) * w
+        cols = np.clip(xs[:, None] + offsets, 0, w - 1)
+        window = flat[rows[:, :, None] + cols[:, None, :]]
+        is_max[lo:lo + _WINDOW_CHUNK] = window.max(axis=(1, 2)) <= flat[at]
+    lin = lin[is_max]
+    if lin.size == 0:
         return np.empty((0, 2))
-    # coordinate sums are integers, so these means equal center_of_mass's
-    lab = labeled[ys, xs]
-    n = np.bincount(lab, minlength=count + 1)[1:]
-    x = np.bincount(lab, weights=xs, minlength=count + 1)[1:] / n
-    y = np.bincount(lab, weights=ys, minlength=count + 1)[1:] / n
-    return np.column_stack([x, y])
+
+    # plateaus: join each kept pixel to its kept right and lower neighbours;
+    # numbering them by their smallest (first) pixel in raster order is
+    # ndimage.label's numbering, and coordinate sums are integers, so the
+    # means are exact
+    ys, xs = np.divmod(lin, w)
+    pairs = []
+    for step, inside in ((1, xs < w - 1), (w, ys < h - 1)):
+        at = np.minimum(np.searchsorted(lin, lin + step), lin.size - 1)
+        joined = inside & (lin[at] == lin + step)
+        pairs.append((np.flatnonzero(joined), at[joined]))
+    a, b = (np.concatenate(side) for side in zip(*pairs))
+    _, plateau = np.unique(_component_roots(lin.size, a, b), return_inverse=True)
+    n = np.bincount(plateau)
+    return np.column_stack([np.bincount(plateau, weights=xs) / n,
+                            np.bincount(plateau, weights=ys) / n])
+
+
+def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, for n nodes
+    joined by the undirected edges (a[k], b[k]).
+
+    Every node points at a smaller or equal node of its component.  Each
+    round hooks every root that an edge joins to a smaller root under the
+    smallest such root, then shortcuts every pointer to its root.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ra, rb)[split], np.minimum(ra, rb)[split])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
 
 
 def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
@@ -98,8 +156,8 @@ def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
     corner = np.rint(seeds).astype(np.intp) - r
     offsets = np.arange(side)
     out = seeds.copy()
-    for lo in range(0, len(seeds), _CENTROID_CHUNK):
-        x0, y0 = corner[lo:lo + _CENTROID_CHUNK].T
+    for lo in range(0, len(seeds), _WINDOW_CHUNK):
+        x0, y0 = corner[lo:lo + _WINDOW_CHUNK].T
         patch = np.maximum(windows[y0, x0] - background, 0.0)
         total = patch.sum(axis=(1, 2))
         # absolute pixel coordinates as weights keep every sum bit-equal to
@@ -109,7 +167,7 @@ def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
         moments = np.column_stack([(xs * patch).sum(axis=(1, 2)),
                                    (ys * patch).sum(axis=(1, 2))])
         lit = total > 0.0
-        block = out[lo:lo + _CENTROID_CHUNK]
+        block = out[lo:lo + _WINDOW_CHUNK]
         block[lit] = moments[lit] / total[lit, None]
     return out
 
@@ -163,10 +221,13 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
         raise ValueError("expected pitch must exceed 4 pixels")
     if min(raster.shape) < 3 * expected_pitch:
         raise ValueError("image too small for the expected pitch")
-    # an integer raster stays integer: the percentile, the maximum filter and
+    # an integer raster stays integer: the percentile, the window maxima and
     # the window sums below give the same numbers on it, with less memory
     if raster.dtype.kind not in "ui":
         raster = raster.astype(float)
+        bad = raster.size - np.count_nonzero(np.isfinite(raster))
+        if bad:
+            raise ValueError(f"white image holds {bad} non-finite pixel(s)")
 
     background = float(np.percentile(raster, _BACKGROUND_PERCENTILE))
     seeds = _blob_candidates(raster, background, expected_pitch)
@@ -346,29 +407,34 @@ def write_pgm(path, image: np.ndarray) -> None:
     """Write an 8-bit or 16-bit single-channel raster as binary PGM (P5)."""
     img = np.asarray(image)
     if img.dtype == np.uint8:
-        maxval, payload = 255, img.tobytes()
+        maxval, payload = 255, np.ascontiguousarray(img)
     elif img.dtype == np.uint16:
-        maxval, payload = 65535, img.astype(">u2").tobytes()
+        maxval, payload = 65535, img.astype(">u2")
     else:
         raise ValueError(f"PGM rasters must be uint8 or uint16, got {img.dtype}")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5) raster as uint8 or uint16."""
+    """Read a binary PGM (P5) raster as uint8 or uint16.
+
+    Raises ValueError, naming the file, unless it is a P5 file with a maxval
+    from 1 to 65535 and at least width x height samples."""
     with open(path, "rb") as fh:
         data = fh.read()
     m = re.match(rb"P5\s+(?:#[^\n]*\n\s*)*(\d+)\s+(\d+)\s+(\d+)\s", data)
     if m is None:
         raise ValueError(f"{path} is not a binary PGM file")
     width, height, maxval = (int(g) for g in m.groups())
-    body = data[m.end():]
-    if maxval < 256:
-        img = np.frombuffer(body, dtype=np.uint8, count=width * height)
-    elif maxval < 65536:
-        img = np.frombuffer(body, dtype=">u2", count=width * height).astype(np.uint16)
-    else:
-        raise ValueError(f"unsupported PGM maxval {maxval}")
-    return img.reshape(height, width).copy()
+    if not 0 < maxval < 65536:
+        raise ValueError(f"{path} has unsupported PGM maxval {maxval}")
+    dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+    count = width * height
+    if len(data) - m.end() < count * dtype.itemsize:
+        raise ValueError(f"{path} holds fewer than {width} x {height} samples")
+    img = np.frombuffer(data, dtype=dtype, count=count, offset=m.end())
+    # one copy, which also gives native byte order and a writable array
+    return img.astype(np.uint16 if maxval > 255 else np.uint8).reshape(height, width)

@@ -571,6 +571,21 @@ class TestRectify:
         assert run("rectify", sim_dir / "observations.json",
                    "--white-image", flat, "--out", tmp_path / "r") == 6
 
+    @pytest.mark.parametrize("content", [
+        None,
+        b"P2\n40 30\n255\n" + b"0 " * 1200,
+        b"P5\n40 30\n255\n" + bytes(1199),
+        b"P5\n40 30\n65535\n" + bytes(2399),
+        b"P5\n40 30\n0\n" + bytes(1200)],
+        ids=["missing", "not-p5", "short-8bit-body", "short-16bit-body", "maxval-0"])
+    def test_malformed_white_image_exit_2(self, sim_dir, tmp_path, caplog, content):
+        path = tmp_path / "white.pgm"
+        if content is not None:
+            path.write_bytes(content)
+        assert run("rectify", sim_dir / "observations.json",
+                   "--white-image", path, "--out", tmp_path / "r") == 2
+        assert str(path) in caplog.text
+
     def test_requires_exactly_one_source(self, sim_dir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("rectify", sim_dir / "observations.json",

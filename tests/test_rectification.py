@@ -1,6 +1,7 @@
 """Micro-image centers, slope analysis, rectifying homography, PGM I/O."""
 
 import math
+import tracemalloc
 from collections import deque
 from dataclasses import dataclass
 
@@ -101,6 +102,28 @@ def reference_seeds(work, pitch):
     labeled, count = ndimage.label(is_max)
     yx = np.asarray(ndimage.center_of_mass(is_max, labeled, np.arange(1, count + 1)))
     return yx[:, ::-1].copy()
+
+
+def reference_blob_candidates(raster, background, pitch):
+    """_blob_candidates as a full-raster maximum filter and ndimage.label;
+    the sparse search must return its seeds bit for bit, in its order."""
+    peak = max(float(raster.max()) - background, 0.0)
+    if peak <= 0.0:
+        return np.empty((0, 2))
+    size = max(3, int(round(pitch * 0.7)) | 1)
+    ys, xs = np.nonzero(raster == ndimage.maximum_filter(raster, size=size))
+    bright = raster[ys, xs] - background > rectification._PEAK_FRACTION * peak
+    ys, xs = ys[bright], xs[bright]
+    is_max = np.zeros(raster.shape, dtype=bool)
+    is_max[ys, xs] = True
+    labeled, count = ndimage.label(is_max)
+    if count == 0:
+        return np.empty((0, 2))
+    lab = labeled[ys, xs]
+    n = np.bincount(lab, minlength=count + 1)[1:]
+    x = np.bincount(lab, weights=xs, minlength=count + 1)[1:] / n
+    y = np.bincount(lab, weights=ys, minlength=count + 1)[1:] / n
+    return np.column_stack([x, y])
 
 
 class TestMicroImageCenters:
@@ -252,6 +275,27 @@ class TestDetectCenters:
         with pytest.raises(AmbiguousPitch):
             detect_centers(img, 50.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_pixels(self, rotated_white, value):
+        img, pitch, _ = rotated_white
+        bad = img.astype(float)
+        bad[100, 200] = bad[300, 10] = value
+        with pytest.raises(ValueError, match="holds 2 non-finite pixel"):
+            detect_centers(bad, pitch)
+
+    def test_detection_memory(self, camera, white_image):
+        # a full-raster int32 label array alone takes 41 MiB of this 10.7 Mpx
+        # raster; the sparse seed search peaked at 26.5 MiB, bounded by the
+        # percentile's copy and the centroid gathers
+        pitch = sim.default_setting(camera).k_u
+        tracemalloc.start()
+        try:
+            detect_centers(white_image, pitch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 < 32
+
     def test_rotated_labels_consistent(self):
         spec = small_camera()
         img = sim.synthesize_white_image(spec, np.radians([0.0, 0.5, 0.0]))
@@ -381,6 +425,129 @@ class TestDetectCentersMatchesReference:
 
     def test_lattice_dislocation(self):
         self.assert_matches(dislocated_lattice(), 35.0)
+
+
+def plateaus_at_the_border():
+    """Saturated plateaus along the top edge and in the bottom-right corner,
+    each with a dimmer peak within its window, and one lone peak."""
+    img = np.zeros((90, 120), dtype=np.uint16)
+    img[0:2, 30:37] = 60000
+    img[4, 40] = 50000
+    img[-3:, -5:] = 60000
+    img[-6, -9] = 59000
+    img[50, 60] = 40000
+    return img
+
+
+def peaks_at_the_window_edge():
+    """Pairs of peaks, one a unit brighter, r pixels apart along each axis in
+    each direction and one pair r + 1 apart, for the 15-pixel window of pitch
+    20 (r = 7): only the dimmer peak r + 1 away from its pair is a maximum."""
+    img = np.zeros((90, 120), dtype=np.uint16)
+    for (y, x), (by, bx) in (((30, 20), (30, 27)), ((30, 60), (30, 68)),
+                             ((60, 27), (60, 20)), ((20, 90), (27, 90)),
+                             ((70, 100), (63, 100))):
+        img[y, x], img[by, bx] = 40000, 40001
+    return img
+
+
+def peaks_at_the_brightness_floor(dtype):
+    """A peak 50000 above a zero background, one exactly at the brightness
+    floor (a fifth of that) and one just above it."""
+    img = np.zeros((90, 120), dtype=dtype)
+    img[20, 20] = 50000
+    img[20, 60] = 10000
+    img[60, 60] = np.nextafter(10000.0, np.inf) if img.dtype.kind == "f" else 10001
+    return img
+
+
+def winding_plateaus():
+    """Saturated one-pixel-wide plateaus: a serpentine whose rows join only at
+    alternate ends, then a U whose arms join only at its foot, with a dot
+    between the arms that the U's first row precedes in raster order."""
+    img = np.zeros((120, 120), dtype=np.uint16)
+    img[10:51:2, 10:81] = 60000
+    img[11:50:4, 80] = 60000
+    img[13:50:4, 10] = 60000
+    img[70:101, 30] = img[70:101, 60] = img[100, 30:61] = 60000
+    img[80, 45] = 60000
+    return img
+
+
+def diagonal_twins():
+    """Two equal peaks that touch only at a corner: two 4-connected plateaus."""
+    img = np.zeros((90, 120), dtype=np.uint16)
+    img[40, 50] = img[41, 51] = 50000
+    return img
+
+
+class TestBlobCandidatesMatchReference:
+    """The sparse seed search returns the full-raster search's seeds."""
+
+    PITCH = 20.0
+
+    def assert_matches(self, raster, pitch):
+        background = float(np.percentile(raster, rectification._BACKGROUND_PERCENTILE))
+        got = rectification._blob_candidates(raster, background, pitch)
+        want = reference_blob_candidates(raster, background, pitch)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        return got
+
+    def test_full_raster(self, rotated_white):
+        img, pitch, _ = rotated_white
+        assert len(self.assert_matches(img, pitch)) > 100
+
+    @pytest.mark.parametrize("inside", [True, False], ids=["inside", "outside"])
+    @pytest.mark.parametrize("k", range(3))
+    def test_crops_at_the_margin(self, rotated_white, k, inside):
+        img, pitch, seeds = rotated_white
+        self.assert_matches(crop_at_margin(img, seeds, pitch, k, inside), pitch)
+
+    @pytest.mark.parametrize("edit", [with_hole, with_dark_plateau_center])
+    def test_edited_raster(self, rotated_white, edit):
+        img, pitch, seeds = rotated_white
+        self.assert_matches(edit(img, seeds, pitch), pitch)
+
+    def test_lattice_dislocation(self):
+        self.assert_matches(dislocated_lattice(), 35.0)
+
+    def test_plateaus_at_the_border(self):
+        got = self.assert_matches(plateaus_at_the_border(), self.PITCH)
+        assert (got == (33.0, 0.5)).all(axis=1).any()
+        assert (got == (117.0, 88.0)).all(axis=1).any()
+
+    def test_peaks_at_the_window_edge(self):
+        got = self.assert_matches(peaks_at_the_window_edge(), self.PITCH)
+        assert len(got) == 6
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32, float])
+    def test_peaks_at_the_brightness_floor(self, dtype):
+        got = self.assert_matches(peaks_at_the_brightness_floor(dtype), self.PITCH)
+        np.testing.assert_array_equal(got, [(20.0, 20.0), (60.0, 60.0)])
+
+    def test_winding_plateaus(self):
+        got = self.assert_matches(winding_plateaus(), self.PITCH)
+        assert len(got) == 3 and tuple(got[2]) == (45.0, 80.0)
+
+    def test_diagonal_neighbours_are_two_plateaus(self):
+        got = self.assert_matches(diagonal_twins(), self.PITCH)
+        np.testing.assert_array_equal(got, [(50.0, 40.0), (51.0, 41.0)])
+
+    def test_float_raster(self, rotated_white):
+        img, pitch, _ = rotated_white
+        self.assert_matches(img / 7.0, pitch)
+
+    def test_negative_signed_raster(self, rotated_white):
+        img, pitch, _ = rotated_white
+        shifted = img.astype(np.int32) - 70000
+        assert shifted.max() < 0
+        got = self.assert_matches(shifted, pitch)
+        assert np.array_equal(got, self.assert_matches(img, pitch))
+
+    def test_all_dark_raster(self):
+        got = self.assert_matches(np.zeros((90, 120), dtype=np.uint16), self.PITCH)
+        assert got.shape == (0, 2)
 
 
 class TestRectifyObservations:

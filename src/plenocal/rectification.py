@@ -65,9 +65,14 @@ def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.
 
     Only pixels that clear a brightness bound and are no lower than their four
     neighbours are kept from the full raster; the exact brightness test, the
-    window test and the plateau labelling run on those few alone.
+    window test and the plateau labelling run on those alone.  A smooth disc
+    leaves about one such pixel; read noise leaves one per noise bump on its
+    bright top, which a 5-pixel window drops before the full one, and clipping
+    leaves its whole top, whose windows are never gathered (see
+    ``_window_tops``) and whose rows are labelled as runs.
     """
-    peak = max(float(raster.max()) - background, 0.0)
+    top = raster.max()
+    peak = max(float(top) - background, 0.0)
     if peak <= 0.0:
         return np.empty((0, 2))
     floor = _PEAK_FRACTION * peak
@@ -88,38 +93,61 @@ def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.
     flat = raster.ravel()
     lin = lin[flat[lin] - background > floor]
 
-    # window maxima; clipping the indices to the raster gives the maximum of
-    # the clipped window, which is maximum_filter's reflected-border maximum
+    # window maxima; a 5-pixel window first drops most maxima of sensor
+    # noise at a twenty-fifth of the full window's gathers
     size = max(3, int(round(pitch * 0.7)) | 1)
-    offsets = np.arange(size) - size // 2
-    h, w = raster.shape
-    is_max = np.empty(lin.size, dtype=bool)
-    for lo in range(0, lin.size, _WINDOW_CHUNK):
-        at = lin[lo:lo + _WINDOW_CHUNK]
-        ys, xs = np.divmod(at, w)
-        rows = np.clip(ys[:, None] + offsets, 0, h - 1) * w
-        cols = np.clip(xs[:, None] + offsets, 0, w - 1)
-        window = flat[rows[:, :, None] + cols[:, None, :]]
-        is_max[lo:lo + _WINDOW_CHUNK] = window.max(axis=(1, 2)) <= flat[at]
-    lin = lin[is_max]
+    for side in sorted({min(5, size), size}):
+        lin = lin[_window_tops(flat, raster.shape, lin, side, top)]
     if lin.size == 0:
         return np.empty((0, 2))
 
-    # plateaus: join each kept pixel to its kept right and lower neighbours;
-    # numbering them by their smallest (first) pixel in raster order is
-    # ndimage.label's numbering, and coordinate sums are integers, so the
-    # means are exact
+    # plateaus: runs of kept pixels along a row, joined where a run overlaps
+    # one of the next row.  Numbering them by their first run, which holds
+    # their first pixel in raster order, is ndimage.label's numbering, and
+    # coordinate sums are integers, so the means are exact
+    w = raster.shape[1]
     ys, xs = np.divmod(lin, w)
-    pairs = []
-    for step, inside in ((1, xs < w - 1), (w, ys < h - 1)):
-        at = np.minimum(np.searchsorted(lin, lin + step), lin.size - 1)
-        joined = inside & (lin[at] == lin + step)
-        pairs.append((np.flatnonzero(joined), at[joined]))
-    a, b = (np.concatenate(side) for side in zip(*pairs))
-    _, plateau = np.unique(_component_roots(lin.size, a, b), return_inverse=True)
+    opens = np.ones(lin.size, dtype=bool)
+    opens[1:] = (lin[1:] != lin[:-1] + 1) | (xs[1:] == 0)
+    first = np.flatnonzero(opens)
+    start, end = lin[first], lin[np.append(first[1:], lin.size) - 1]
+    # no run crosses a row, so the runs that overlap run r one row down are
+    # those from lo[r] (the first to end at or past r's start) to hi[r] - 1
+    # (the last to start at or before r's end)
+    lo = np.searchsorted(end, start + w)
+    hi = np.searchsorted(start, end + w, side="right")
+    links = hi - lo
+    a = np.repeat(np.arange(first.size), links)
+    b = np.arange(a.size) + np.repeat(lo - (np.cumsum(links) - links), links)
+    _, plateau = np.unique(_component_roots(first.size, a, b), return_inverse=True)
+    plateau = plateau[np.cumsum(opens) - 1]
     n = np.bincount(plateau)
     return np.column_stack([np.bincount(plateau, weights=xs) / n,
                             np.bincount(plateau, weights=ys) / n])
+
+
+def _window_tops(flat: np.ndarray, shape: tuple, lin: np.ndarray, side: int,
+                 top) -> np.ndarray:
+    """Which of the indices ``lin`` into the raveled raster ``flat`` of the
+    given shape hold the maximum of their side x side window.
+
+    Clipping the window to the raster gives maximum_filter's reflected-border
+    maximum.  A pixel at the raster's maximum ``top`` tops every window, so
+    the windows of saturated plateaus, where every pixel is a candidate, are
+    never gathered.
+    """
+    h, w = shape
+    offsets = np.arange(side) - side // 2
+    tops = np.ones(lin.size, dtype=bool)
+    below = np.flatnonzero(flat[lin] < top)
+    for lo in range(0, below.size, _WINDOW_CHUNK):
+        k = below[lo:lo + _WINDOW_CHUNK]
+        ys, xs = np.divmod(lin[k], w)
+        rows = np.clip(ys[:, None] + offsets, 0, h - 1) * w
+        cols = np.clip(xs[:, None] + offsets, 0, w - 1)
+        window = flat[rows[:, :, None] + cols[:, None, :]]
+        tops[k] = window.max(axis=(1, 2)) <= flat[lin[k]]
+    return tops
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -481,6 +481,27 @@ def diagonal_twins():
     return img
 
 
+def across_a_row_end():
+    """Two equal plateaus, one ending a row and one starting the next: they
+    touch in the raveled raster but not in the image."""
+    img = np.zeros((90, 120), dtype=np.uint16)
+    img[30, 117:] = img[31, :3] = 50000
+    return img
+
+
+def with_read_noise(img, sigma):
+    """The white image with Gaussian read noise of ``sigma`` counts: each noise
+    bump on a disc's bright top is a candidate seed."""
+    noise = np.random.default_rng(5).normal(0.0, sigma, img.shape)
+    return np.clip(img + noise, 0, 65535).astype(np.uint16)
+
+
+def saturated(img, gain):
+    """The white image ``gain`` times brighter, its disc tops clipped at
+    65535: every pixel of a clipped top is a candidate seed."""
+    return np.clip(img * float(gain), 0, 65535).astype(np.uint16)
+
+
 class TestBlobCandidatesMatchReference:
     """The sparse seed search returns the full-raster search's seeds."""
 
@@ -517,6 +538,10 @@ class TestBlobCandidatesMatchReference:
         assert (got == (33.0, 0.5)).all(axis=1).any()
         assert (got == (117.0, 88.0)).all(axis=1).any()
 
+    def test_plateaus_across_a_row_end(self):
+        got = self.assert_matches(across_a_row_end(), self.PITCH)
+        np.testing.assert_array_equal(got, [(118.0, 30.0), (1.0, 31.0)])
+
     def test_peaks_at_the_window_edge(self):
         got = self.assert_matches(peaks_at_the_window_edge(), self.PITCH)
         assert len(got) == 6
@@ -533,6 +558,17 @@ class TestBlobCandidatesMatchReference:
     def test_diagonal_neighbours_are_two_plateaus(self):
         got = self.assert_matches(diagonal_twins(), self.PITCH)
         np.testing.assert_array_equal(got, [(50.0, 40.0), (51.0, 41.0)])
+
+    @pytest.mark.parametrize("sigma", [300.0, 3000.0])
+    def test_noisy_raster(self, rotated_white, sigma):
+        img, pitch, _ = rotated_white
+        self.assert_matches(with_read_noise(img, sigma), pitch)
+
+    @pytest.mark.parametrize("gain", [1.5, 3.0])
+    def test_saturated_raster(self, rotated_white, gain):
+        img, pitch, _ = rotated_white
+        raster = saturated(img, gain)
+        assert (raster == 65535).sum() > 10 * len(self.assert_matches(raster, pitch))
 
     def test_float_raster(self, rotated_white):
         img, pitch, _ = rotated_white

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial import cKDTree
 
 from .errors import (AmbiguousPitch, DegenerateConfiguration, NoGridFound,
                      PointAtInfinity, TooFewCenters)
@@ -30,6 +29,11 @@ _CENTROID_RADIUS = 0.45
 _ATTACH_RADIUS = 0.35         # lattice walk: max deviation from predicted site
 _MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])  # +i, -i, +j, -j
 _WINDOW_CHUNK = 1024          # raster windows gathered per batch
+_CENTROID_PIXELS = 1 << 18    # centroid window pixels gathered per batch
+_BLOCK_PIXELS = 1 << 16       # raster pixels compared per batch
+_SAMPLE = 1 << 14             # pixels sampled to bracket a percentile
+_QUERY_CHUNK = 1 << 12        # nearest-point queries per batch
+_PAIR_CHUNK = 1 << 16         # (query, point) pairs measured per batch
 _DLT_RANK_TOL = 1e-8
 
 
@@ -53,6 +57,52 @@ class MicroImageCenters:
 
     def __len__(self) -> int:
         return len(self.label)
+
+
+def _percentile(raster: np.ndarray, q: float) -> float:
+    """``np.percentile(raster, q)`` (linear interpolation), without the copy
+    of the whole raster that it partitions.
+
+    The two order statistics it interpolates are bracketed by values of a
+    spread sample of pixels; one pass counts the pixels below, at and above
+    the bracket's ends, and only the pixels strictly inside it are copied and
+    partitioned.  A bracket that misses either statistic is replaced by the
+    raster's full range.  The interpolation repeats numpy's steps and types.
+    """
+    n = raster.size
+    virtual = (n - 1) * (q / 100)
+    k = int(virtual)
+    gamma = virtual - k
+    ranks = (k, min(k + 1, n - 1))
+    w = raster.shape[1]
+    m = min(n, _SAMPLE)
+    # a Weyl sequence of flat indices: spread, and not aliased with a lattice
+    flat = np.arange(m) * int(0.6180339887498949 * n) % n
+    sample = np.sort(raster[flat // w, flat % w])
+    at = k * m // n
+    margin = 4 * math.isqrt(m) + 2
+    step = max(1, _BLOCK_PIXELS // w)
+    blocks = [raster[r:r + step] for r in range(0, raster.shape[0], step)]
+    for lo, hi in ((sample[max(at - margin, 0)], sample[min(at + margin, m - 1)]),
+                   (raster.min(), raster.max())):
+        below = at_lo = under_hi = upto_hi = 0
+        for b in blocks:
+            below += np.count_nonzero(b < lo)
+            at_lo += np.count_nonzero(b <= lo)
+            under_hi += np.count_nonzero(b < hi)
+            upto_hi += np.count_nonzero(b <= hi)
+        if below <= ranks[0] and ranks[1] < upto_hi:
+            break
+    # ranks [below, at_lo) hold lo, [under_hi, upto_hi) hold hi, the rest of
+    # the bracket the pixels strictly between them
+    inside = [r - at_lo for r in ranks if at_lo <= r < under_hi]
+    if inside:
+        between = np.concatenate([b[(b > lo) & (b < hi)] for b in blocks])
+        between.partition(inside)
+    a, b = (lo if r < at_lo else hi if r >= under_hi else between[r - at_lo]
+            for r in ranks)
+    diff = b - a
+    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
 
 
 def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.ndarray:
@@ -177,27 +227,130 @@ def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
 
     Every window must lie inside the raster.  A seed whose window holds no
     intensity (possible only for a non-convex plateau) keeps its position.
+    The moments are taken from each window's row and column sums.  On an
+    integer raster with an integral background every partial sum is an exact
+    integer below 2**53, so the centroids do not depend on the order of the
+    sums.
     """
     r = int(round(_CENTROID_RADIUS * pitch))
     side = 2 * r + 1
     windows = sliding_window_view(raster, (side, side))
     corner = np.rint(seeds).astype(np.intp) - r
-    offsets = np.arange(side)
+    offsets = np.arange(side, dtype=float)
+    chunk = max(1, _CENTROID_PIXELS // (side * side))
     out = seeds.copy()
-    for lo in range(0, len(seeds), _WINDOW_CHUNK):
-        x0, y0 = corner[lo:lo + _WINDOW_CHUNK].T
-        patch = np.maximum(windows[y0, x0] - background, 0.0)
-        total = patch.sum(axis=(1, 2))
-        # absolute pixel coordinates as weights keep every sum bit-equal to
-        # that of the per-seed reference loop in the tests
-        xs = x0[:, None, None] + offsets[None, None, :]
-        ys = y0[:, None, None] + offsets[None, :, None]
-        moments = np.column_stack([(xs * patch).sum(axis=(1, 2)),
-                                   (ys * patch).sum(axis=(1, 2))])
+    for lo in range(0, len(seeds), chunk):
+        x0, y0 = corner[lo:lo + chunk].T
+        patch = windows[y0, x0] - background
+        np.maximum(patch, 0.0, out=patch)
+        cols, rows = patch.sum(axis=1), patch.sum(axis=2)
+        total = cols.sum(axis=1)
+        moments = np.column_stack([x0 * total + cols @ offsets,
+                                   y0 * total + rows @ offsets])
         lit = total > 0.0
-        block = out[lo:lo + _WINDOW_CHUNK]
+        block = out[lo:lo + chunk]
         block[lit] = moments[lit] / total[lit, None]
     return out
+
+
+class _CellGrid:
+    """Exact nearest-point queries on a fixed set of N >= 1 points (x, y).
+
+    The points are bucketed into square cells and sorted by cell in row-major
+    order, with each cell's start offset (CSR form).  The cell side is the
+    root of the bounding box's area per point, or its longer extent per point
+    if that is larger, so a cell holds about one point on average at any
+    density.  A query searches the 2 x 2 cells nearest it, then the 4 x 4,
+    8 x 8, ... cells, until the nearest point found is no farther than the
+    nearest edge of the block with grid cells beyond it.
+    """
+
+    def __init__(self, points: np.ndarray):
+        points = np.asarray(points, dtype=float)
+        self.origin = points.min(axis=0)
+        extent = points.max(axis=0) - self.origin
+        n = len(points)
+        side = max(math.sqrt(extent[0] * extent[1] / n), extent.max() / n)
+        self.side = side if side > 0.0 else 1.0
+        cell = np.floor((points - self.origin) / self.side).astype(np.intp)
+        self.shape = cell.max(axis=0) + 1                  # cells along x, y
+        key = cell[:, 1] * self.shape[0] + cell[:, 0]
+        self.order = np.argsort(key, kind="stable")
+        self.points = points[self.order]
+        self.start = np.searchsorted(key[self.order], np.arange(self.shape.prod() + 1))
+
+    def nearest(self, queries: np.ndarray, bound: float = math.inf,
+                skip_self: bool = False):
+        """Distance to and index of each query's nearest point, the lowest
+        index among equally near ones; distance inf and index N where no
+        point lies within ``bound`` (inclusive).  With ``skip_self`` query k
+        is point k, which is passed over, as cKDTree's second neighbour."""
+        q = np.asarray(queries, dtype=float).reshape(-1, 2)
+        dist = np.full(len(q), np.inf)
+        index = np.full(len(q), len(self.order))
+        for first in range(0, len(q), _QUERY_CHUNK):
+            pending = np.arange(first, min(first + _QUERY_CHUNK, len(q)))
+            reach = 1
+            while pending.size:
+                u = (q[pending] - self.origin) / self.side   # in cells
+                lo = np.floor(u + 0.5).astype(np.intp) - reach
+                hi = lo + 2 * reach
+                # cells from the query to the block's nearest edge with grid
+                # cells beyond it: every point outside the block lies farther
+                gap = np.minimum(np.where(lo > 0, u - lo, np.inf),
+                                 np.where(hi < self.shape, hi - u, np.inf)).min(axis=1)
+                d, m = self._search_blocks(q[pending], lo, hi,
+                                           pending if skip_self else None)
+                # the margin covers the rounding of the cell coordinates
+                done = np.minimum(d, bound) <= (gap - 1e-9) * self.side
+                found = done & (d <= bound) & np.isfinite(d)
+                dist[pending[found]] = d[found]
+                index[pending[found]] = m[found]
+                pending = pending[~done]
+                reach *= 2
+        return dist, index
+
+    def _search_blocks(self, q, lo, hi, skip):
+        """Nearest point to each query among the cells [lo, hi) of its block,
+        as (distance, index); (inf, N) for an empty block.  Queries go in
+        batches of about ``_PAIR_CHUNK`` (query, point) pairs."""
+        nx, ny = self.shape
+        n = len(self.order)
+        x0, x1 = np.clip(lo[:, 0], 0, nx), np.clip(hi[:, 0], 0, nx)
+        y0, y1 = np.clip(lo[:, 1], 0, ny), np.clip(hi[:, 1], 0, ny)
+        # one run of sorted points per (query, cell row) of its block
+        rows = np.where(x1 > x0, y1 - y0, 0)
+        owner = np.repeat(np.arange(len(q)), rows)
+        row = y0[owner] + np.arange(owner.size) - np.repeat(np.cumsum(rows) - rows, rows)
+        first = self.start[row * nx + x0[owner]]
+        count = self.start[row * nx + x1[owner]] - first
+        run_end = np.cumsum(rows)
+        pairs = np.cumsum(np.bincount(owner, weights=count, minlength=len(q)))
+        d2 = np.full(len(q), np.inf)
+        m = np.full(len(q), n)
+        a = 0
+        while a < len(q):
+            before = pairs[a - 1] if a else 0.0
+            b = max(a + 1, int(np.searchsorted(pairs, before + _PAIR_CHUNK, side="right")))
+            r0, r1 = (run_end[a - 1] if a else 0), run_end[b - 1]
+            f, c = first[r0:r1], count[r0:r1]
+            pos = np.arange(c.sum()) + np.repeat(f - (np.cumsum(c) - c), c)
+            who = np.repeat(owner[r0:r1], c)
+            a = b
+            if pos.size == 0:
+                continue
+            dx = self.points[pos, 0] - q[who, 0]
+            dy = self.points[pos, 1] - q[who, 1]
+            pd2 = dx * dx + dy * dy
+            idx = self.order[pos]
+            if skip is not None:
+                pd2[idx == skip[who]] = np.inf
+            cut = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
+            best = np.minimum.reduceat(pd2, cut)
+            tied = pd2 == np.repeat(best, np.diff(np.r_[cut, who.size]))
+            d2[who[cut]] = best
+            m[who[cut]] = np.minimum.reduceat(np.where(tied, idx, n), cut)
+        return np.sqrt(d2), m
 
 
 def _orient_axes(centers: np.ndarray, start: int, spacing: float):
@@ -257,7 +410,7 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
         if bad:
             raise ValueError(f"white image holds {bad} non-finite pixel(s)")
 
-    background = float(np.percentile(raster, _BACKGROUND_PERCENTILE))
+    background = _percentile(raster, _BACKGROUND_PERCENTILE)
     seeds = _blob_candidates(raster, background, expected_pitch)
     # blobs whose centroid window would clip at the border carry biased
     # centroids (truncated discs); drop them before refinement
@@ -270,9 +423,8 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
         raise NoGridFound(f"only {seeds.shape[0]} usable blobs found")
     centers = _refine_centroids(raster, background, seeds, expected_pitch)
 
-    tree = cKDTree(centers)
-    nn, _ = tree.query(centers, k=2)
-    spacing = float(np.median(nn[:, 1]))
+    grid = _CellGrid(centers)
+    spacing = float(np.median(grid.nearest(centers, skip_self=True)[0]))
     if abs(spacing - expected_pitch) > 0.25 * expected_pitch:
         raise AmbiguousPitch(
             f"median spacing {spacing:.2f} px deviates from expected "
@@ -293,8 +445,9 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
     while frontier.size:
         pos = centers[frontier]
         steps = np.stack([si, -si, sj, -sj], axis=1)          # (F, 4, 2)
-        dist, m = tree.query((pos[:, None, :] + steps).reshape(-1, 2))
-        cand = np.flatnonzero((dist <= attach) & ~labeled[m])
+        dist, m = grid.nearest((pos[:, None, :] + steps).reshape(-1, 2), attach)
+        cand = np.flatnonzero(dist <= attach)
+        cand = cand[~labeled[m[cand]]]
         _, first = np.unique(m[cand], return_index=True)
         claim = cand[np.sort(first)]
         parent, move = np.divmod(claim, 4)

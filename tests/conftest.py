@@ -4,6 +4,7 @@ The heavy artifacts (pose sets, observation lists, the white image) are
 session-scoped; tests must not mutate them.
 """
 
+import numpy as np
 import pytest
 
 from plenocal import simulator as sim
@@ -56,3 +57,15 @@ def noisy_observations(camera, board, poses12):
 @pytest.fixture(scope="session")
 def white_image(camera):
     return sim.synthesize_white_image(camera)
+
+
+@pytest.fixture(scope="session")
+def dense_seed_white(camera):
+    """The white image with the array turned by (0.2, -0.1, 0.3) degrees, made
+    3 times brighter and clipped, then given read noise of 300 counts and
+    clipped again: the noise breaks each clipped disc top into scattered
+    65535 pixels, each its own seed, about 156k seeds for 8.8k discs."""
+    img = sim.synthesize_white_image(camera, np.radians([0.2, -0.1, 0.3]))
+    img = np.clip(img * 3.0, 0, 65535).astype(np.uint16)
+    noise = np.random.default_rng(5).normal(0.0, 300.0, img.shape)
+    return np.clip(img + noise, 0, 65535).astype(np.uint16)

@@ -1,10 +1,15 @@
 """Command-line pipeline: subcommands, files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plenocal
 from plenocal import io
 from plenocal.cli import main
 from plenocal.rectification import detect_centers, read_pgm, write_pgm
@@ -571,6 +576,15 @@ class TestRectify:
         assert run("rectify", sim_dir / "observations.json",
                    "--white-image", flat, "--out", tmp_path / "r") == 6
 
+    def test_dense_seeds_exit_6(self, sim_dir, tmp_path, caplog, dense_seed_white):
+        white = tmp_path / "dense.pgm"
+        write_pgm(white, dense_seed_white)
+        pitch = default_setting(reference_camera()).k_u
+        assert run("rectify", sim_dir / "observations.json", "--white-image", white,
+                   "--pitch", pitch, "--out", tmp_path / "r") == 6
+        assert ("AmbiguousPitch: median spacing 0.16 px deviates from expected "
+                "35.07 px by more than 25%") in caplog.text
+
     @pytest.mark.parametrize("content", [
         None,
         b"P2\n40 30\n255\n" + b"0 " * 1200,
@@ -714,3 +728,17 @@ def test_json_top_level_not_an_object_exit_2(sim_dir, report_path, tmp_path, cap
     }[command]
     assert run(*argv, "--out", tmp_path / "out") == 2
     assert "top level is a JSON list, not an object" in caplog.text
+
+
+def test_no_scipy_at_run_time():
+    code = ("import sys, plenocal, plenocal.cli\n"
+            "try:\n"
+            "    plenocal.cli.main(['--help'])\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(plenocal.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert "usage: plenocal" in done.stdout
+    assert done.stdout.splitlines()[-1] == "[]"

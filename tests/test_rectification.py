@@ -1,6 +1,7 @@
 """Micro-image centers, slope analysis, rectifying homography, PGM I/O."""
 
 import math
+import re
 import tracemalloc
 from collections import deque
 from dataclasses import dataclass
@@ -218,6 +219,11 @@ class TestRectifyingHomography:
             estimate_rectifying_homography(MicroImageCenters(labels, 30.0 * labels))
 
 
+# what cKDTree's median spacing gave on the dense_seed_white raster
+DENSE_SEED_MESSAGE = ("median spacing 0.16 px deviates from expected 35.07 px "
+                      "by more than 25%")
+
+
 def small_camera():
     # compact sensor keeps the raster quick to render and scan
     return sim.PhysicalCameraSpec(
@@ -284,9 +290,9 @@ class TestDetectCenters:
             detect_centers(bad, pitch)
 
     def test_detection_memory(self, camera, white_image):
-        # a full-raster int32 label array alone takes 41 MiB of this 10.7 Mpx
-        # raster; the sparse seed search peaked at 26.5 MiB, bounded by the
-        # percentile's copy and the centroid gathers
+        # measured 20.4 MiB on this 10.7 Mpx raster: the seed search's two
+        # full-raster boolean masks; the percentile's 20.4 MiB raster copy and
+        # float64 centroid gathers of 1024 windows made it 26.5 MiB
         pitch = sim.default_setting(camera).k_u
         tracemalloc.start()
         try:
@@ -294,7 +300,20 @@ class TestDetectCenters:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / 2**20 < 32
+        assert peak / 2**20 < 24
+
+    def test_dense_seeds_are_an_ambiguous_pitch(self, camera, dense_seed_white):
+        # about 156k seeds, many of them sharing a centroid window
+        pitch = sim.default_setting(camera).k_u
+        with pytest.raises(AmbiguousPitch, match=re.escape(DENSE_SEED_MESSAGE)):
+            detect_centers(dense_seed_white, pitch)
+
+    def test_integer_raster_centroids_are_exact(self, rotated_white):
+        # an integral background keeps every window sum an exact integer
+        img, pitch, _ = rotated_white
+        assert float(np.percentile(img, rectification._BACKGROUND_PERCENTILE)).is_integer()
+        np.testing.assert_array_equal(detect_centers(img, pitch).pixel,
+                                      reference_detect_centers(img, pitch).pixel)
 
     def test_rotated_labels_consistent(self):
         spec = small_camera()
@@ -584,6 +603,160 @@ class TestBlobCandidatesMatchReference:
     def test_all_dark_raster(self):
         got = self.assert_matches(np.zeros((90, 120), dtype=np.uint16), self.PITCH)
         assert got.shape == (0, 2)
+
+
+def constant_runs(dtype, size):
+    """Runs of a few values, the longest of them holding the 20th percentile
+    and its neighbours in sorted order."""
+    values = np.array([3, 9, 9, 40, 41, 200], dtype=dtype)
+    lengths = np.array([size // 10, size // 5, size // 4, 1, size // 3, 0])
+    lengths[-1] = size - lengths.sum()
+    rng = np.random.default_rng(size)
+    return rng.permutation(np.repeat(values, lengths))
+
+
+class TestPercentile:
+    """The copy-free background percentile equals np.percentile bit for bit."""
+
+    QS = (rectification._BACKGROUND_PERCENTILE, 0.0, 37.3, 50.0, 70.0, 100.0)
+
+    def assert_matches(self, raster):
+        for q in self.QS:
+            want = np.percentile(raster, q)
+            got = rectification._percentile(raster, q)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), q
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, float])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (61, 37), (60, 38), (301, 417)])
+    def test_random_raster(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
+        raster = rng.normal(100.0, 40.0, shape)
+        if dtype is not float:
+            raster = np.clip(raster, 0, 255).astype(dtype)
+        self.assert_matches(raster)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32, float])
+    @pytest.mark.parametrize("size", [20001, 20000, 9])
+    def test_long_constant_runs(self, dtype, size):
+        self.assert_matches(constant_runs(dtype, size).reshape(-1, 1))
+        self.assert_matches(np.sort(constant_runs(dtype, size)).reshape(1, -1))
+
+    def test_white_images(self, rotated_white):
+        img, _, _ = rotated_white
+        self.assert_matches(img)
+        self.assert_matches(img / 7.0)
+        self.assert_matches(img.astype(np.int32) - 70000)
+        self.assert_matches(img[1:, 3:])
+
+    def test_interpolation_from_the_upper_value(self):
+        # at q = 70 the weight is 0.7, and numpy interpolates down from 0.7,
+        # which gives 0.5199999999999999, not 0.52
+        self.assert_matches(np.array([[0.1, 0.7]]))
+
+    @pytest.mark.parametrize("end", ["min", "max"])
+    def test_bracket_that_misses(self, monkeypatch, end):
+        # one sampled pixel, the raster's (0, 0), brackets nothing else when
+        # it holds the raster's unique extreme: the full range takes over
+        raster = np.random.default_rng(7).integers(10, 1000, (90, 70)).astype(np.int32)
+        raster[0, 0] = 0 if end == "min" else 5000
+        monkeypatch.setattr(rectification, "_SAMPLE", 1)
+        self.assert_matches(raster)
+
+
+def lattice_with_holes(pitch=7.0):
+    """A 30 x 20 lattice turned by 0.1 rad, a fifth of its points dropped."""
+    i, j = np.meshgrid(np.arange(30), np.arange(20), indexing="ij")
+    c, s = math.cos(0.1), math.sin(0.1)
+    pts = pitch * np.column_stack([c * i.ravel() - s * j.ravel(),
+                                   s * i.ravel() + c * j.ravel()]) + (50.0, 20.0)
+    return pts[np.random.default_rng(0).random(len(pts)) >= 0.2]
+
+
+def dislocated_points(pitch=7.0):
+    """A square lattice whose upper half holds one extra column, squeezed in
+    over the lower half's 20: an edge dislocation."""
+    lower = [(x * pitch, y * pitch) for y in range(8) for x in range(20)]
+    upper = [(x * pitch * 20 / 21, y * pitch) for y in range(8, 16) for x in range(21)]
+    return np.array(lower + upper, dtype=float)
+
+
+POINT_SETS = {
+    "random": lambda: np.random.default_rng(1).uniform(0.0, 300.0, (500, 2)),
+    "single": lambda: np.array([[4.0, -2.5]]),
+    "pair": lambda: np.array([[0.0, 0.0], [3.0, 4.0]]),
+    "lattice-with-holes": lattice_with_holes,
+    "dislocation": dislocated_points,
+    "duplicates": lambda: np.round(np.random.default_rng(2).uniform(0.0, 12.0, (400, 2))),
+    "all-equal": lambda: np.full((5, 2), 3.25),
+    "collinear": lambda: np.column_stack([np.arange(50.0) ** 1.5, np.full(50, 8.0)]),
+}
+
+
+class TestCellGrid:
+    """Nearest points from the cell grid are cKDTree's: the same distances,
+    bit for bit, and among equally near points the lowest index."""
+
+    def queries(self, grid, points):
+        rng = np.random.default_rng(3)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        span = np.maximum(hi - lo, 1.0)
+        inside = rng.uniform(lo, hi, (300, 2))
+        outside = rng.uniform(lo - 20 * span, hi + 20 * span, (300, 2))
+        # cell corners and edge midpoints, within and beyond the grid
+        k = np.arange(-2, max(grid.shape) + 3) / 2.0
+        edges = grid.origin + grid.side * np.stack(np.meshgrid(k, k), -1).reshape(-1, 2)
+        return np.concatenate([points, points + 0.3, inside, outside, edges,
+                               [[1e7, -1e7]]])
+
+    def assert_matches(self, points, queries, bound=math.inf):
+        dist, index = rectification._CellGrid(points).nearest(queries, bound)
+        want, _ = cKDTree(points).query(queries)
+        miss = want > bound
+        np.testing.assert_array_equal(dist, np.where(miss, np.inf, want))
+        d = np.sqrt(((points[None] - queries[:, None]) ** 2).sum(axis=2))
+        lowest = np.argmax(d == want[:, None], axis=1)
+        np.testing.assert_array_equal(index, np.where(miss, len(points), lowest))
+
+    @pytest.mark.parametrize("name", POINT_SETS)
+    def test_nearest(self, name):
+        points = POINT_SETS[name]()
+        self.assert_matches(points, self.queries(rectification._CellGrid(points), points))
+
+    @pytest.mark.parametrize("name", POINT_SETS)
+    def test_nearest_within_a_bound(self, name):
+        points = POINT_SETS[name]()
+        queries = self.queries(rectification._CellGrid(points), points)
+        for bound in (0.0, 0.5, 2.45, 40.0):
+            self.assert_matches(points, queries, bound)
+
+    @pytest.mark.parametrize("name", POINT_SETS)
+    def test_nearest_other_point(self, name):
+        points = POINT_SETS[name]()
+        dist, _ = rectification._CellGrid(points).nearest(points, skip_self=True)
+        if len(points) == 1:
+            assert dist.tolist() == [np.inf]
+        else:
+            np.testing.assert_array_equal(dist, cKDTree(points).query(points, k=2)[0][:, 1])
+
+    def test_queries_are_batched(self):
+        # 200 points around each of 200 sites: every query's block holds
+        # about 200 points, 8M (query, point) pairs in all, 61 MiB for each
+        # array over them; measured 5.6 MiB, and 48.6 MiB in batches of
+        # 4096 queries alone
+        rng = np.random.default_rng(4)
+        sites = rng.uniform(0.0, 4000.0, (200, 2))
+        points = np.repeat(sites, 200, axis=0) + rng.normal(0.0, 0.5, (40000, 2))
+        grid = rectification._CellGrid(points)
+        tracemalloc.start()
+        try:
+            dist, _ = grid.nearest(points, skip_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sample = rng.choice(len(points), 2000, replace=False)
+        want = cKDTree(points).query(points[sample], k=2)[0][:, 1]
+        np.testing.assert_array_equal(dist[sample], want)
+        assert peak / 2**20 < 16
 
 
 class TestRectifyObservations:

@@ -429,7 +429,11 @@ class _NormalEquations:
     With m intrinsic columns and P poses: ``U`` (m, m) is the intrinsic
     block, ``V`` (P, 6, 6) the pose blocks (A's pose-pose part is block
     diagonal), ``W`` (P, m, 6) the intrinsic-pose couplings, and ``g_i``
-    (m,), ``g_p`` (P, 6) the gradient split the same way.
+    (m,), ``g_p`` (P, 6) the gradient split the same way.  They are
+    accumulated straight from ``project_pixels``' component-major
+    (m + 6, 2, N) Jacobian: U and g_i by BLAS products over all 2N rows, and
+    W_p, V_p and g_p by products over pose p's slice of observations; no
+    per-observation product and no dense 2N x (m + 6P) array is formed.
     """
 
     U: np.ndarray
@@ -439,24 +443,33 @@ class _NormalEquations:
     g_p: np.ndarray
 
     @classmethod
-    def from_blocks(cls, J_intr: np.ndarray, J_pose: np.ndarray, r: np.ndarray,
-                    starts: np.ndarray) -> "_NormalEquations":
-        """Accumulate from the (N, 2, m) and (N, 2, 6) Jacobian blocks and
-        the flattened residuals; observations starts[p]:starts[p + 1] are
-        those of pose p."""
-        m = J_intr.shape[-1]
-        Ji = J_intr.reshape(-1, m)
-        Jp = J_pose.reshape(-1, 6)
+    def from_blocks(cls, J: np.ndarray, r: np.ndarray, starts: np.ndarray
+                    ) -> "_NormalEquations":
+        """Accumulate from the (m + 6, 2, N) Jacobian of ``project_pixels``
+        and the (2, N) residuals, x then y of every observation;
+        observations starts[p]:starts[p + 1] are those of pose p."""
+        m = J.shape[0] - 6
+        Ji = J[:m].reshape(m, -1)
         n_poses = len(starts) - 1
         W = np.empty((n_poses, m, 6))
         V = np.empty((n_poses, 6, 6))
         g_p = np.empty((n_poses, 6))
         for p in range(n_poses):
-            rows = slice(2 * starts[p], 2 * starts[p + 1])
-            W[p] = Ji[rows].T @ Jp[rows]
-            V[p] = Jp[rows].T @ Jp[rows]
-            g_p[p] = Jp[rows].T @ r[rows]
-        return cls(Ji.T @ Ji, W, V, Ji.T @ r, g_p)
+            rows = slice(starts[p], starts[p + 1])
+            x, y = J[:, 0, rows], J[:, 1, rows]
+            B = x @ x[m:].T + y @ y[m:].T          # [W_p; V_p]
+            W[p], V[p] = B[:m], B[m:]
+            g_p[p] = x[m:] @ r[0, rows] + y[m:] @ r[1, rows]
+        return cls(Ji @ Ji.T, W, V, Ji @ r.reshape(-1), g_p)
+
+    def scaled(self, keep: np.ndarray, d_i: np.ndarray, d_p: np.ndarray
+               ) -> "_NormalEquations":
+        """The blocks of J D restricted to the ``keep`` intrinsic columns,
+        D being diag(d_i) on the kept intrinsics and diag(d_p[p]) on pose p."""
+        U = self.U[np.ix_(keep, keep)] * (d_i[:, None] * d_i)
+        W = self.W[:, keep] * d_i[:, None] * d_p[:, None, :]
+        V = self.V * d_p[:, :, None] * d_p[:, None, :]
+        return _NormalEquations(U, W, V, self.g_i[keep] * d_i, self.g_p * d_p)
 
     def grad_inf(self) -> float:
         return float(max(np.abs(self.g_i).max(), np.abs(self.g_p).max()))
@@ -515,9 +528,8 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     batch = observation_batch(observations, board_points, initial.poses)
     observed = observations.pixel
     n_poses = len(initial.poses)
-    pose_index = batch.pose_index
     # the table is sorted by pose, so each pose owns one slice of rows
-    starts = np.searchsorted(pose_index, np.arange(n_poses + 1))
+    starts = np.searchsorted(batch.pose_index, np.arange(n_poses + 1))
     centers = options.optimize_distortion_centers
     f_prime = initial.tpp.f_prime
 
@@ -527,14 +539,16 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     if not options.optimize_xy_distortion:
         active[5:7] = False              # freeze s1, s2 at their initial values
     active[9:13] = centers               # and the centers at their defaults
-    # project_pixels returns the 4 center columns only when they are free
+    # project_pixels returns the 4 center columns only when they are free;
+    # the residual Jacobian in scaled space is -J diag(scales)
     intr_active = active[:13 if centers else 9]
     intr_scales = -scales[:13][active[:13]]
-    pose_scales = -scales[13:].reshape(n_poses, 6)[pose_index][:, None, :]
+    pose_scales = -scales[13:].reshape(n_poses, 6)
+    observed_xy = np.ascontiguousarray(observed.T)
 
     def evaluate(th: np.ndarray, with_jacobian: bool):
-        """Residuals (flattened) and optionally the prediction Jacobian
-        blocks; None when the candidate parameters are not evaluable."""
+        """Residuals, as (2, N) x then y rows, and optionally the prediction
+        Jacobian; None when the candidate parameters are not evaluable."""
         try:
             tpp, dist, pose_rows = _unpack(th, f_prime)
             if not np.all(np.isfinite(pose_rows)):
@@ -544,11 +558,11 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
                                  jacobian=with_jacobian, optimize_centers=centers)
         except (ValueError, BehindPlane):
             return None
-        pred, *blocks = out if with_jacobian else (out,)
-        r = (observed - pred).reshape(-1)
+        pred, J = out if with_jacobian else (out, None)
+        r = observed_xy - pred.T
         if not np.all(np.isfinite(r)):
             raise NonFiniteResidual("residual evaluation produced NaN/Inf")
-        return r, blocks
+        return r, J
 
     def linearize(th: np.ndarray):
         """Residuals r and the block normal equations over the active
@@ -556,18 +570,14 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
         ev = evaluate(th, True)
         if ev is None:
             raise NonFiniteResidual("parameters are not evaluable")
-        r, (J_intr, J_pose) = ev
-        if not (np.all(np.isfinite(J_intr)) and np.all(np.isfinite(J_pose))):
+        r, J = ev
+        if not np.all(np.isfinite(J)):
             raise NonFiniteResidual("Jacobian evaluation produced NaN/Inf")
-        if not intr_active.all():
-            J_intr = J_intr[:, :, intr_active]
-        # residual Jacobian in scaled space
-        J_intr *= intr_scales
-        J_pose *= pose_scales
-        return r, _NormalEquations.from_blocks(J_intr, J_pose, r, starts)
+        eq = _NormalEquations.from_blocks(J, r, starts)
+        return r, eq.scaled(intr_active, intr_scales, pose_scales)
 
     r, eq = linearize(theta)
-    cost = float(r @ r)
+    cost = float(np.vdot(r, r))
     g0_inf = eq.grad_inf()
     damping = _LM_DAMPING_INIT
 
@@ -588,7 +598,7 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
         candidate = theta.copy()
         candidate[active] += step * scales[active]
         ev = evaluate(candidate, False)
-        new_cost = float(ev[0] @ ev[0]) if ev is not None else math.inf
+        new_cost = float(np.vdot(ev[0], ev[0])) if ev is not None else math.inf
         accepted = new_cost < cost
         trace.append({"iteration": iteration, "cost": cost, "candidate_cost": new_cost,
                       "damping": damping, "accepted": accepted,
@@ -617,7 +627,7 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
                     f"{rejected_run} consecutive rejected steps at cost {cost}")
 
     tpp, dist, poses = _unpack(theta, f_prime)
-    res = r.reshape(-1, 2)
+    res = np.ascontiguousarray(r.T)
     rms = float(np.sqrt(np.mean(res**2)))
     result = CalibrationResult(tpp, dist, poses, rms, residual_histogram(res), res)
     return result, trace, stop

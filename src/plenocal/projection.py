@@ -7,9 +7,15 @@ intersection, after its own radial distortion, divides by the x-y plane scale
 to give raw-image pixel coordinates.
 
 ``project_pixels`` evaluates the whole chain for a batch of observations and
-can return the analytic Jacobian with respect to every model parameter, as an
-intrinsic block and a per-observation pose block; the refinement stage
-depends on that Jacobian matching finite differences.
+can return the analytic Jacobian with respect to every model parameter.  The
+Jacobian is component-major: one (m + 6, 2, N) array whose row c holds the
+derivative of both pixel coordinates of every observation wrt parameter c,
+m intrinsics first, then the six (rvec, tvec) components of each
+observation's own pose.  Every factor of the chain is computed as a
+contiguous vector over the observations (or over the sites and lenses, then
+gathered), so no small per-observation matrix product is formed, and the
+refinement's normal equations are BLAS products over its rows.  The
+refinement stage depends on that Jacobian matching finite differences.
 """
 
 from __future__ import annotations
@@ -105,23 +111,17 @@ class Observations:
                    for k in ("pose", "point", "lens", "pixel"))
 
 
-def _radial_factors(pts: np.ndarray, center, d1: float, d2: float):
-    """Shared distortion factors: offsets, g = 1 + d1 r^2 + d2 r^4, g' wrt r^2."""
-    d = pts - np.asarray(center, dtype=float)
-    r2 = np.sum(d * d, axis=1)
-    g = 1.0 + d1 * r2 + d2 * r2 * r2
-    gp = d1 + 2.0 * d2 * r2
-    return d, r2, g, gp
+def _radial(d0: np.ndarray, d1: np.ndarray, k1: float, k2: float):
+    """r^2, g = 1 + k1 r^2 + k2 r^4 and g' = dg/d(r^2) of the offsets (d0, d1)
+    of points from their distortion center."""
+    r2 = d0 * d0 + d1 * d1
+    return r2, 1.0 + k1 * r2 + k2 * r2 * r2, k1 + 2.0 * k2 * r2
 
 
-def _distort_jacobian(d: np.ndarray, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
-    """(N, 2, 2) Jacobian of the radial distortion wrt the undistorted point."""
-    J = np.empty((d.shape[0], 2, 2))
-    J[:, 0, 0] = g + 2.0 * d[:, 0] * d[:, 0] * gp
-    J[:, 0, 1] = 2.0 * d[:, 0] * d[:, 1] * gp
-    J[:, 1, 0] = J[:, 0, 1]
-    J[:, 1, 1] = g + 2.0 * d[:, 1] * d[:, 1] * gp
-    return J
+def _radial_jacobian(d0: np.ndarray, d1: np.ndarray, g: np.ndarray, gp: np.ndarray):
+    """Entries (j00, j01, j11) of the symmetric 2x2 Jacobian of the radial
+    distortion d g(r^2) + c wrt the undistorted point."""
+    return g + 2.0 * d0 * d0 * gp, 2.0 * d0 * d1 * gp, g + 2.0 * d1 * d1 * gp
 
 
 @dataclass
@@ -165,109 +165,114 @@ def project_pixels(batch: ProjectionBatch, tpp: TppParams, dist: DistortionParam
                    *, jacobian: bool = False, optimize_centers: bool = False):
     """Project a batch of board points to raw-image pixels.
 
-    Returns ``pixels`` of shape (N, 2), or ``(pixels, J_intr, J_pose)`` when
-    ``jacobian`` is set.  The Jacobian comes in block form, never as one
-    dense 2N x (9 [+4] + 6P) array:
-
-    * ``J_intr`` (N, 2, 9) or (N, 2, 13): ``J_intr[n, a, c]`` is the
-      derivative of pixel coordinate a (x, y) of observation n wrt intrinsic
-      c in the order (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2), then, with
-      ``optimize_centers``, (x_c, y_c, u_c, v_c);
-    * ``J_pose`` (N, 2, 6): ``J_pose[n, a]`` is the derivative wrt
-      (rvec, tvec) of pose ``batch.pose_index[n]``; every other pose's
-      derivative is zero.
+    Returns ``pixels`` of shape (N, 2), or ``(pixels, J)`` when ``jacobian``
+    is set.  ``J`` is component-major, one (m + 6, 2, N) array and never a
+    dense 2N x (m + 6P) one: ``J[c, a, n]`` is the derivative of pixel
+    coordinate a (x, y) of observation n wrt parameter c.  The first m = 9
+    rows are the intrinsics (k_xy, k_uv, u_0, v_0, f, s1, s2, t1, t2), then,
+    with ``optimize_centers``, (x_c, y_c, u_c, v_c) (m = 13); the last six
+    are (rvec, tvec) of the observation's own pose ``batch.pose_index[n]``,
+    every other pose's derivative being zero.  ``J.reshape(m + 6, 2 * N)``
+    is thus the transposed Jacobian with the x rows of all observations
+    before their y rows.
 
     Rotations and their derivatives are formed for all poses at once, the
-    rigid motion once per site and the u-v side once per lens, then gathered;
-    only the plane intersection and the x-y distortion run per observation.
-    Every per-observation value equals that of an unfactored batch bit for
-    bit, since each gathered entry is computed by the same operations.
+    rigid motion and d X_c / d rvec once per site and the u-v side with its
+    derivatives once per lens, then gathered; the plane intersection and
+    the x-y distortion run per observation, on one contiguous vector per
+    component.  The pixels do not depend on ``jacobian``: both paths share
+    every operation up to them.
     """
     site, lens = batch.site, batch.lens
-    n = site.shape[0]
-    k_xy, k_uv = tpp.k_x, tpp.k_u
-    f = tpp.f
+    k_xy, k_uv, f = tpp.k_x, tpp.k_u, tpp.f
 
     # rigid motion per site; d(R p)/d rvec is linear in p, so it is
     # sum_b p_b G(e_b) with G evaluated once per pose at the basis vectors
     sp = batch.site_pose
     R = rodrigues_matrices(batch.rvecs)
-    Xc = (np.einsum("sab,sb->sa", R[sp], batch.points_w) + batch.tvecs[sp])[site]
+    Xc = np.einsum("sab,sb->sa", R[sp], batch.points_w) + batch.tvecs[sp]
+    X, Y, Z = np.take(Xc.T, site, axis=1)
 
     # u-v side per lens
-    labels = batch.labels
-    uv_hat = np.empty((labels.shape[0], 2))
-    uv_hat[:, 0] = k_uv * labels[:, 0] + tpp.u_0
-    uv_hat[:, 1] = k_uv * labels[:, 1] + tpp.v_0
-    d_uv, r2_uv, g_uv, gp_uv = _radial_factors(uv_hat, (dist.u_c, dist.v_c),
-                                               dist.t1, dist.t2)
-    uv_d = (d_uv * g_uv[:, None] + np.array([dist.u_c, dist.v_c]))[lens]
+    li, lj = batch.labels.T
+    du = k_uv * li + tpp.u_0 - dist.u_c
+    dv = k_uv * lj + tpp.v_0 - dist.v_c
+    r2_uv, g_uv, gp_uv = _radial(du, dv, dist.t1, dist.t2)
+    ud, vd = np.take(np.stack([du * g_uv + dist.u_c, dv * g_uv + dist.v_c]), lens, axis=1)
 
-    denom = Xc[:, 2] - f
+    denom = Z - f
     if np.any(np.abs(denom) < _PLANE_TOL * max(1.0, abs(f))):
         raise BehindPlane("a transformed point lies on the u-v plane (Z_c = f)")
 
-    xy_hat = np.empty((n, 2))
-    xy_hat[:, 0] = (uv_d[:, 0] * Xc[:, 2] - f * Xc[:, 0]) / denom
-    xy_hat[:, 1] = (uv_d[:, 1] * Xc[:, 2] - f * Xc[:, 1]) / denom
-
-    d_xy, r2_xy, g_xy, gp_xy = _radial_factors(xy_hat, (dist.x_c, dist.y_c),
-                                               dist.s1, dist.s2)
-    xy_d = d_xy * g_xy[:, None] + np.array([dist.x_c, dist.y_c])
-
-    pixels = xy_d / k_xy
+    # plane intersection, then the x-y distortion, as offsets from its center
+    dx = (ud * Z - f * X) / denom - dist.x_c
+    dy = (vd * Z - f * Y) / denom - dist.y_c
+    r2, g, gp = _radial(dx, dy, dist.s1, dist.s2)
+    pixels = np.stack([dx * g + dist.x_c, dy * g + dist.y_c], axis=1) / k_xy
     if not jacobian:
         return pixels
 
     # --- analytic Jacobian ---------------------------------------------------
+    # written row by row into J; per-site and per-lens factors are gathered
+    # one row at a time into a reused buffer, so that the call holds J and a
+    # few N-vectors, never a (k, N) temporary
+    n = len(site)
+    m = len(INTRINSIC_NAMES) + (4 if optimize_centers else 0)
+    J = np.empty((m + 6, 2, n))
+    J[0] = pixels.T / -k_xy                   # k_xy divides the distorted point
+    # E = d pixel / d xy_hat, symmetric; the plane intersection gives
+    # d xy_hat / d uv_d = Z / denom and d xy_hat / d (X, Y) = -f / denom, both
+    # diagonal, and d xy_hat / d (Z, f) = (-f, Z) h with h = (uv_d - XY) / denom^2
+    e00, e01, e11 = (e / k_xy for e in _radial_jacobian(dx, dy, g, gp))
+    den2 = denom * denom
+    h0, h1 = (ud - X) / den2, (vd - Y) / den2
+    dxy = -f / denom
+    for a, (ea0, ea1), d in ((0, (e00, e01), dx), (1, (e01, e11), dy)):
+        # d pixel_a / d tvec = d pixel_a / d X_c = (ea0, ea1) dxy, -f (E h)_a;
+        # d pixel_a / d f = Z (E h)_a
+        J[m + 3, a] = ea0 * dxy
+        J[m + 4, a] = ea1 * dxy
+        J[m + 5, a] = ea0 * h0 + ea1 * h1
+        J[4, a] = Z * J[m + 5, a]
+        J[m + 5, a] *= -f
+        J[5, a] = d * r2 / k_xy
+        J[6, a] = J[5, a] * r2
+        if optimize_centers:
+            J[9, a] = (a == 0) / k_xy - ea0     # d pixel / d (x_c, y_c) = I / k_xy - E
+            J[10, a] = (a == 1) / k_xy - ea1
+
+    # d pixel / d rvec = d pixel / d X_c times d X_c / d rvec, the latter per
+    # site: rot[k, c, s] = d X_c[k] / d rvec_c at site s
     G = rotation_basis_jacobians(batch.rvecs)
-    rot_jac = np.einsum("sb,sbac->sac", batch.points_w, G[sp])[site]
-    E = _distort_jacobian(d_xy, g_xy, gp_xy)          # d xy_d / d xy_hat
-    C = _distort_jacobian(d_uv, g_uv, gp_uv)[lens]    # d uv_d / d uv_hat
+    rot = np.einsum("sb,sbkc->kcs", batch.points_w, G[sp])
+    row = np.empty((3, n))
+    J[m:m + 3] = 0.0
+    for k in range(3):
+        np.take(rot[k], site, axis=1, out=row)
+        for a in (0, 1):
+            J[m:m + 3, a] += J[m + 3 + k, a] * row
 
-    # plane intersection partials (x depends on u_d, not v_d, and vice versa)
-    duv = Xc[:, 2] / denom                            # d xy_hat / d uv_d (diagonal)
-    Dxc = np.zeros((n, 2, 3))                         # d xy_hat / d Xc
-    Dxc[:, 0, 0] = -f / denom
-    Dxc[:, 1, 1] = -f / denom
-    Dxc[:, 0, 2] = f * (Xc[:, 0] - uv_d[:, 0]) / denom**2
-    Dxc[:, 1, 2] = f * (Xc[:, 1] - uv_d[:, 1]) / denom**2
-    df_hat = np.empty((n, 2))                         # d xy_hat / d f
-    df_hat[:, 0] = Xc[:, 2] * (uv_d[:, 0] - Xc[:, 0]) / denom**2
-    df_hat[:, 1] = Xc[:, 2] * (uv_d[:, 1] - Xc[:, 1]) / denom**2
-
-    E_duv = E * duv[:, None, None]                    # E @ diag(duv, duv)
-    T_uv = E_duv @ C                                  # d xy_d / d uv_hat
-    T_xc = E @ Dxc                                    # d xy_d / d Xc
-
-    n_intr = len(INTRINSIC_NAMES) + (4 if optimize_centers else 0)
-    J_intr = np.empty((n, 2, n_intr))
-    # k_xy enters only through the final pixel division
-    J_intr[:, :, 0] = -pixels
-    # k_uv, u_0, v_0 act through uv_hat = (k_uv i + u_0, k_uv j + v_0)
-    J_intr[:, :, 1] = np.einsum("nij,nj->ni", T_uv, labels[lens])
-    J_intr[:, :, 2:4] = T_uv
-    # f: direct effect on the plane intersection
-    J_intr[:, :, 4] = np.einsum("nij,nj->ni", E, df_hat)
-    # x-y distortion coefficients
-    J_intr[:, :, 5] = d_xy * r2_xy[:, None]
-    J_intr[:, :, 6] = d_xy * (r2_xy**2)[:, None]
-    # u-v distortion coefficients propagate through the intersection
-    J_intr[:, :, 7] = np.einsum("nij,nj->ni", E_duv, (d_uv * r2_uv[:, None])[lens])
-    J_intr[:, :, 8] = np.einsum("nij,nj->ni", E_duv,
-                                (d_uv * (r2_uv**2)[:, None])[lens])
+    # d pixel / d uv_d = E Z / denom, times per-lens (row of J, x, y) entries
+    # of d uv_d / d (k_uv, u_0, v_0) = C [label | I], d uv_d / d (t1, t2) =
+    # d (r^2, r^4) and d uv_d / d (u_c, v_c) = I - C, with C the symmetric
+    # u-v distortion Jacobian
+    c00, c01, c11 = _radial_jacobian(du, dv, g_uv, gp_uv)
+    per_lens = [(1, c00 * li + c01 * lj, c01 * li + c11 * lj), (2, c00, c01),
+                (3, c01, c11), (7, du * r2_uv, dv * r2_uv),
+                (8, du * r2_uv**2, dv * r2_uv**2)]
     if optimize_centers:
-        eye2 = np.eye(2)[None, :, :]
-        J_intr[:, :, 9:11] = eye2 - E                 # d xy_d / d (x_c, y_c)
-        J_intr[:, :, 11:13] = E_duv @ (eye2 - C)      # d xy_d / d (u_c, v_c)
-    J_intr /= k_xy
-
-    # pose block: d xy_d / d rvec = T_xc @ G, d xy_d / d tvec = T_xc
-    J_pose = np.empty((n, 2, 6))
-    J_pose[:, :, :3] = T_xc @ rot_jac
-    J_pose[:, :, 3:] = T_xc
-    J_pose /= k_xy
-    return pixels, J_intr, J_pose
+        per_lens += [(11, 1.0 - c00, -c01), (12, -c01, 1.0 - c11)]
+    duv = Z / denom
+    ed00, ed01, ed11 = e00 * duv, e01 * duv, e11 * duv
+    row0, row1 = row[0], row[1]
+    for c, l0, l1 in per_lens:
+        np.take(l0, lens, out=row0)
+        np.take(l1, lens, out=row1)
+        np.multiply(ed00, row0, out=J[c, 0])
+        J[c, 0] += ed01 * row1
+        np.multiply(ed01, row0, out=J[c, 1])
+        J[c, 1] += ed11 * row1
+    return pixels, J
 
 
 def board_sites(observations: Observations, board_points

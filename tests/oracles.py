@@ -2,8 +2,10 @@
 
 Each is the direct scalar form of a formula that ``plenocal`` evaluates in
 batched or eliminated form: the per-vector Rodrigues rotation and its
-derivative (``rotation.rodrigues_matrices``, ``rotation_basis_jacobians``)
-and the paper's closed form of Q (``calibration.solve_q``).
+derivative (``rotation.rodrigues_matrices``, ``rotation_basis_jacobians``),
+the row-major radial distortion factors and 2x2 Jacobians
+(``projection.project_pixels``) and the paper's closed form of Q
+(``calibration.solve_q``).
 """
 
 import numpy as np
@@ -77,6 +79,25 @@ def rotate_points_jacobian(rvec: np.ndarray, points: np.ndarray) -> np.ndarray:
                       + k[None, :, None] * pts[:, None, :])
     proj = (np.eye(3) - np.outer(k, k)) / theta
     return A[:, :, None] * k[None, None, :] + B @ proj
+
+
+def _radial_factors(pts: np.ndarray, center, d1: float, d2: float):
+    """Shared distortion factors: offsets, g = 1 + d1 r^2 + d2 r^4, g' wrt r^2."""
+    d = pts - np.asarray(center, dtype=float)
+    r2 = np.sum(d * d, axis=1)
+    g = 1.0 + d1 * r2 + d2 * r2 * r2
+    gp = d1 + 2.0 * d2 * r2
+    return d, r2, g, gp
+
+
+def _distort_jacobian(d: np.ndarray, g: np.ndarray, gp: np.ndarray) -> np.ndarray:
+    """(N, 2, 2) Jacobian of the radial distortion wrt the undistorted point."""
+    J = np.empty((d.shape[0], 2, 2))
+    J[:, 0, 0] = g + 2.0 * d[:, 0] * d[:, 0] * gp
+    J[:, 0, 1] = 2.0 * d[:, 0] * d[:, 1] * gp
+    J[:, 1, 0] = J[:, 0, 1]
+    J[:, 1, 1] = g + 2.0 * d[:, 1] * d[:, 1] * gp
+    return J
 
 
 def q_entries(k_xy: float, k_uv: float, u_0: float, v_0: float, f: float,

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import q_entries, rodrigues_matrix
-from test_projection import densify, tilted_distortion
+from test_projection import blocks, densify, tilted_distortion
 
 from plenocal import simulator as sim
 from plenocal.calibration import (_LM_DIAG_FLOOR, CalibrationResult,
@@ -341,11 +341,11 @@ class TestRefine:
         batch = observation_batch(obs, board_points, poses12)
         n_poses = batch.rvecs.shape[0]
         dist = tilted_distortion(tpp_truth) if distorted else DistortionParams()
-        pixels, J_intr, J_pose = project_pixels(batch, tpp_truth, dist, jacobian=True,
-                                                optimize_centers=centers)
-        J_intr = -np.delete(J_intr, frozen, axis=2)
-        J_pose = -J_pose
-        J = densify(J_intr, J_pose, batch.pose_index)
+        pixels, J_cm = project_pixels(batch, tpp_truth, dist, jacobian=True,
+                                      optimize_centers=centers)
+        J_cm = -np.delete(J_cm, frozen, axis=0)
+        J_intr, J_pose = blocks(J_cm)
+        J = densify(J_cm, batch.pose_index)
         # column norms spread over three decades, so that diag(A) is far from a
         # multiple of I; free centers at zero distortion give exactly zero
         # columns, whose damping comes from the floor alone
@@ -357,9 +357,10 @@ class TestRefine:
         J *= scale
         J_intr *= scale[:m]
         J_pose *= scale[m:].reshape(n_poses, 6)[batch.pose_index][:, None, :]
-        r = (obs.pixel - pixels).reshape(-1)
+        r = obs.pixel - pixels
         eq = _NormalEquations.from_blocks(
-            J_intr, J_pose, r, np.searchsorted(batch.pose_index, np.arange(n_poses + 1)))
+            J_cm, r.T, np.searchsorted(batch.pose_index, np.arange(n_poses + 1)))
+        r = r.reshape(-1)
         A, g = J.T @ J, J.T @ r
         assert eq.grad_inf() == pytest.approx(np.abs(g).max(), rel=1e-12)
         D = np.diag(np.maximum(np.diag(A), _LM_DIAG_FLOOR * np.diag(A).mean()))
@@ -378,6 +379,49 @@ class TestRefine:
             # damping by a multiple of I would give another step
             plain = np.linalg.lstsq(A + damping * np.eye(A.shape[0]), -g, rcond=None)[0]
             assert np.linalg.norm(step - plain) > 1e-3 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("centers, frozen", [(False, []), (True, []), (False, [5, 6])],
+                             ids=["9-columns", "13-columns-free-centers",
+                                  "9-columns-s1-s2-frozen"])
+    def test_scaled_blocks_match_dense_normal_equations(self, noisy_observations,
+                                                        board_points, poses12, tpp_truth,
+                                                        centers, frozen):
+        # the blocks accumulated from the unscaled Jacobian, then restricted
+        # to the kept columns and scaled by D, equal (J D)^T (J D) and
+        # (J D)^T r of the dense Jacobian; each entry is graded against
+        # sqrt(A_ii A_jj) (resp. sqrt(A_ii) |r|), its Cauchy-Schwarz bound,
+        # which scales with D as the entry does
+        obs = noisy_observations[::5]
+        batch = observation_batch(obs, board_points, poses12)
+        n_poses = batch.rvecs.shape[0]
+        pixels, J = project_pixels(batch, tpp_truth, tilted_distortion(tpp_truth),
+                                   jacobian=True, optimize_centers=centers)
+        m = J.shape[0] - 6
+        keep = np.ones(m, dtype=bool)
+        keep[frozen] = False
+        rng = np.random.default_rng(9)
+        d_i = -10.0 ** rng.uniform(-3, 3, keep.sum())
+        d_p = -10.0 ** rng.uniform(-3, 3, (n_poses, 6))
+        r = obs.pixel - pixels
+        eq = _NormalEquations.from_blocks(
+            J, r.T, np.searchsorted(batch.pose_index, np.arange(n_poses + 1))
+        ).scaled(keep, d_i, d_p)
+
+        cols = np.concatenate([np.flatnonzero(keep), m + np.arange(6 * n_poses)])
+        Jd = densify(J, batch.pose_index)[:, cols] * np.concatenate([d_i, d_p.ravel()])
+        A, g = Jd.T @ Jd, Jd.T @ r.reshape(-1)
+        k = keep.sum()
+        got = np.zeros_like(A)
+        got[:k, :k] = eq.U
+        for p in range(n_poses):
+            pose = slice(k + 6 * p, k + 6 * p + 6)
+            got[:k, pose], got[pose, :k] = eq.W[p], eq.W[p].T
+            got[pose, pose] = eq.V[p]
+        norms = np.sqrt(np.diag(A))
+        assert np.all(norms > 0)
+        assert np.all(np.abs(got - A) <= 1e-12 * np.outer(norms, norms))
+        g_got = np.concatenate([eq.g_i, eq.g_p.ravel()])
+        assert np.all(np.abs(g_got - g) <= 1e-12 * norms * np.linalg.norm(r))
 
     @pytest.mark.parametrize("dataset", ["noisy_observations", "observations12",
                                          "observations48"])
@@ -406,7 +450,7 @@ class TestRefine:
     def test_memory_linear_in_observations(self, observations48, board_points,
                                            setting, camera):
         # 48 poses, about 23k observations: a dense 2N x (9 + 6P) Jacobian
-        # alone would take 105 MiB; the block form peaked at 21 MiB
+        # alone would take 105 MiB; the component-major form peaks at 12.5 MiB
         obs = observations48
         initial, _ = linear_calibrate(obs, board_points, setting)
         tracemalloc.start()
@@ -478,3 +522,29 @@ def test_gauge_map_round_trip(setting, tpp_truth):
     for name in ("k_x", "k_u", "u_0", "v_0", "f"):
         assert getattr(back, name) == pytest.approx(getattr(tpp_truth, name),
                                                     rel=1e-12)
+
+
+def _derive(seed, *keys):
+    """A 32-bit seed fixed by a run seed and keys, as the benchmark's
+    ``workloads.derive`` makes them."""
+    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "linear-stage local minimum at sigma 0.8: solve_q's scale is off by about "
+    "2.9x (per-pose scale ratios scatter 0.16-5.2), and refine converges to a "
+    "minimum about 9 % above the one reached from the truth"))
+@pytest.mark.parametrize("seed, trial", [(503, 159), (504, 99)])
+def test_sigma_08_trial_reaches_truth_basin(camera, board, board_points, setting,
+                                            tpp_truth, seed, trial):
+    # the 12-pose sigma 0.8 sweep trials that miss the benchmark's accuracy
+    # check: poses from SeedSequence([seed, 3, trial]), noise from [seed, 4, trial]
+    poses = sim.generate_poses(12, _derive(seed, 3, trial),
+                               sim.default_envelope(camera, board))
+    obs = sim.synthesize_observations(camera, board, poses, DistortionParams(), 0.8,
+                                      _derive(seed, 4, trial))
+    options = RefineOptions(sensor_size=camera.sensor_resolution)
+    from_linear = calibrate(obs, board_points, setting, options).refined
+    from_truth, _, _ = refine(CalibrationResult(tpp_truth, DistortionParams(), poses, 0.0),
+                              obs, board_points, options)
+    assert from_linear.rms**2 <= 1.01 * from_truth.rms**2

@@ -287,6 +287,8 @@ def cmd_rectify(args) -> int:
         centers = io.read_centers(args.centers) if args.centers else None
         white = read_pgm(args.white_image) if args.white_image else None
         pitch = args.pitch
+        if pitch is not None and not (math.isfinite(pitch) and pitch > 4.0):
+            raise ConfigError(f"--pitch must be a finite number above 4 pixels, got {pitch}")
         if args.white_image and pitch is None:
             pitch = setting_from_observations(observations, meta["sensor_px"]).k_u
     except _CONFIG_ERRORS as exc:

@@ -21,19 +21,18 @@ from .errors import (AmbiguousPitch, DegenerateConfiguration, NoGridFound,
                      PointAtInfinity, TooFewCenters)
 from .projection import Observations
 
-_PEAK_FRACTION = 0.2          # local maxima below this fraction of peak are noise
+# a neighbour whose peak rises above the background by no more than this
+# fraction of its parent's peak is noise; a patch seed, of the patch's peak.
+# Relative to the parent, the test follows vignetting across the sensor
+_PEAK_FRACTION = 0.2
 _BACKGROUND_PERCENTILE = 20.0
+_PATCH_PITCHES = 8            # side of the central seed patch, in pitches
 # window must stay inside the micro-image's Voronoi cell: at 0.6 pitch the
 # neighbors' tails pull centroids off by ~0.1 px
 _CENTROID_RADIUS = 0.45
 _ATTACH_RADIUS = 0.35         # lattice walk: max deviation from predicted site
 _MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])  # +i, -i, +j, -j
-_WINDOW_CHUNK = 1024          # raster windows gathered per batch
 _CENTROID_PIXELS = 1 << 18    # centroid window pixels gathered per batch
-_BLOCK_PIXELS = 1 << 16       # raster pixels compared per batch
-_SAMPLE = 1 << 14             # pixels sampled to bracket a percentile
-_QUERY_CHUNK = 1 << 12        # nearest-point queries per batch
-_PAIR_CHUNK = 1 << 16         # (query, point) pairs measured per batch
 _DLT_RANK_TOL = 1e-8
 
 
@@ -59,52 +58,6 @@ class MicroImageCenters:
         return len(self.label)
 
 
-def _percentile(raster: np.ndarray, q: float) -> float:
-    """``np.percentile(raster, q)`` (linear interpolation), without the copy
-    of the whole raster that it partitions.
-
-    The two order statistics it interpolates are bracketed by values of a
-    spread sample of pixels; one pass counts the pixels below, at and above
-    the bracket's ends, and only the pixels strictly inside it are copied and
-    partitioned.  A bracket that misses either statistic is replaced by the
-    raster's full range.  The interpolation repeats numpy's steps and types.
-    """
-    n = raster.size
-    virtual = (n - 1) * (q / 100)
-    k = int(virtual)
-    gamma = virtual - k
-    ranks = (k, min(k + 1, n - 1))
-    w = raster.shape[1]
-    m = min(n, _SAMPLE)
-    # a Weyl sequence of flat indices: spread, and not aliased with a lattice
-    flat = np.arange(m) * int(0.6180339887498949 * n) % n
-    sample = np.sort(raster[flat // w, flat % w])
-    at = k * m // n
-    margin = 4 * math.isqrt(m) + 2
-    step = max(1, _BLOCK_PIXELS // w)
-    blocks = [raster[r:r + step] for r in range(0, raster.shape[0], step)]
-    for lo, hi in ((sample[max(at - margin, 0)], sample[min(at + margin, m - 1)]),
-                   (raster.min(), raster.max())):
-        below = at_lo = under_hi = upto_hi = 0
-        for b in blocks:
-            below += np.count_nonzero(b < lo)
-            at_lo += np.count_nonzero(b <= lo)
-            under_hi += np.count_nonzero(b < hi)
-            upto_hi += np.count_nonzero(b <= hi)
-        if below <= ranks[0] and ranks[1] < upto_hi:
-            break
-    # ranks [below, at_lo) hold lo, [under_hi, upto_hi) hold hi, the rest of
-    # the bracket the pixels strictly between them
-    inside = [r - at_lo for r in ranks if at_lo <= r < under_hi]
-    if inside:
-        between = np.concatenate([b[(b > lo) & (b < hi)] for b in blocks])
-        between.partition(inside)
-    a, b = (lo if r < at_lo else hi if r >= under_hi else between[r - at_lo]
-            for r in ranks)
-    diff = b - a
-    return float(b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma)
-
-
 def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.ndarray:
     """Local-maximum blob seeds as (N, 2) pixel coordinates (x, y).
 
@@ -112,44 +65,17 @@ def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.
     equal the maximum of their square window of about 0.7 pitch, clipped to
     the raster, and rise above ``_PEAK_FRACTION`` of the peak over the
     background.  Seeds come in raster order of their plateau's first pixel.
-
-    Only pixels that clear a brightness bound and are no lower than their four
-    neighbours are kept from the full raster; the exact brightness test, the
-    window test and the plateau labelling run on those alone.  A smooth disc
-    leaves about one such pixel; read noise leaves one per noise bump on its
-    bright top, which a 5-pixel window drops before the full one, and clipping
-    leaves its whole top, whose windows are never gathered (see
-    ``_window_tops``) and whose rows are labelled as runs.
     """
-    top = raster.max()
-    peak = max(float(top) - background, 0.0)
+    peak = max(float(raster.max()) - background, 0.0)
     if peak <= 0.0:
         return np.empty((0, 2))
-    floor = _PEAK_FRACTION * peak
-    # every v with v - background > floor is at least this bound, whatever
-    # the rounding of the sum; an integer raster compares with an integer bound
-    bound = background + floor
-    bound -= 2.0 * np.spacing(abs(bound))
-    if raster.dtype.kind in "ui":
-        info = np.iinfo(raster.dtype)
-        bound = raster.dtype.type(min(max(math.floor(bound), info.min), info.max))
-    cand = raster >= bound
-    cand[:, 1:] &= raster[:, 1:] >= raster[:, :-1]
-    cand[:, :-1] &= raster[:, :-1] >= raster[:, 1:]
-    cand[1:] &= raster[1:] >= raster[:-1]
-    cand[:-1] &= raster[:-1] >= raster[1:]
-    lin = np.flatnonzero(cand)
-    del cand
-    flat = raster.ravel()
-    lin = lin[flat[lin] - background > floor]
-
-    # window maxima; a 5-pixel window first drops most maxima of sensor
-    # noise at a twenty-fifth of the full window's gathers
-    size = max(3, int(round(pitch * 0.7)) | 1)
-    for side in sorted({min(5, size), size}):
-        lin = lin[_window_tops(flat, raster.shape, lin, side, top)]
-    if lin.size == 0:
-        return np.empty((0, 2))
+    r = max(3, int(round(pitch * 0.7)) | 1) // 2
+    # edge padding makes each window the one clipped to the raster, whose
+    # maximum is maximum_filter's with reflected borders
+    top = np.pad(raster, r, mode="edge")
+    for axis in (0, 1):
+        top = sliding_window_view(top, 2 * r + 1, axis=axis).max(axis=-1)
+    lin = np.flatnonzero((raster == top) & (raster - background > _PEAK_FRACTION * peak))
 
     # plateaus: runs of kept pixels along a row, joined where a run overlaps
     # one of the next row.  Numbering them by their first run, which holds
@@ -174,30 +100,6 @@ def _blob_candidates(raster: np.ndarray, background: float, pitch: float) -> np.
     n = np.bincount(plateau)
     return np.column_stack([np.bincount(plateau, weights=xs) / n,
                             np.bincount(plateau, weights=ys) / n])
-
-
-def _window_tops(flat: np.ndarray, shape: tuple, lin: np.ndarray, side: int,
-                 top) -> np.ndarray:
-    """Which of the indices ``lin`` into the raveled raster ``flat`` of the
-    given shape hold the maximum of their side x side window.
-
-    Clipping the window to the raster gives maximum_filter's reflected-border
-    maximum.  A pixel at the raster's maximum ``top`` tops every window, so
-    the windows of saturated plateaus, where every pixel is a candidate, are
-    never gathered.
-    """
-    h, w = shape
-    offsets = np.arange(side) - side // 2
-    tops = np.ones(lin.size, dtype=bool)
-    below = np.flatnonzero(flat[lin] < top)
-    for lo in range(0, below.size, _WINDOW_CHUNK):
-        k = below[lo:lo + _WINDOW_CHUNK]
-        ys, xs = np.divmod(lin[k], w)
-        rows = np.clip(ys[:, None] + offsets, 0, h - 1) * w
-        cols = np.clip(xs[:, None] + offsets, 0, w - 1)
-        window = flat[rows[:, :, None] + cols[:, None, :]]
-        tops[k] = window.max(axis=(1, 2)) <= flat[lin[k]]
-    return tops
 
 
 def _component_roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,106 +155,6 @@ def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
     return out
 
 
-class _CellGrid:
-    """Exact nearest-point queries on a fixed set of N >= 1 points (x, y).
-
-    The points are bucketed into square cells and sorted by cell in row-major
-    order, with each cell's start offset (CSR form).  The cell side is the
-    root of the bounding box's area per point, or its longer extent per point
-    if that is larger, so a cell holds about one point on average at any
-    density.  A query searches the 2 x 2 cells nearest it, then the 4 x 4,
-    8 x 8, ... cells, until the nearest point found is no farther than the
-    nearest edge of the block with grid cells beyond it.
-    """
-
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=float)
-        self.origin = points.min(axis=0)
-        extent = points.max(axis=0) - self.origin
-        n = len(points)
-        side = max(math.sqrt(extent[0] * extent[1] / n), extent.max() / n)
-        self.side = side if side > 0.0 else 1.0
-        cell = np.floor((points - self.origin) / self.side).astype(np.intp)
-        self.shape = cell.max(axis=0) + 1                  # cells along x, y
-        key = cell[:, 1] * self.shape[0] + cell[:, 0]
-        self.order = np.argsort(key, kind="stable")
-        self.points = points[self.order]
-        self.start = np.searchsorted(key[self.order], np.arange(self.shape.prod() + 1))
-
-    def nearest(self, queries: np.ndarray, bound: float = math.inf,
-                skip_self: bool = False):
-        """Distance to and index of each query's nearest point, the lowest
-        index among equally near ones; distance inf and index N where no
-        point lies within ``bound`` (inclusive).  With ``skip_self`` query k
-        is point k, which is passed over, as cKDTree's second neighbour."""
-        q = np.asarray(queries, dtype=float).reshape(-1, 2)
-        dist = np.full(len(q), np.inf)
-        index = np.full(len(q), len(self.order))
-        for first in range(0, len(q), _QUERY_CHUNK):
-            pending = np.arange(first, min(first + _QUERY_CHUNK, len(q)))
-            reach = 1
-            while pending.size:
-                u = (q[pending] - self.origin) / self.side   # in cells
-                lo = np.floor(u + 0.5).astype(np.intp) - reach
-                hi = lo + 2 * reach
-                # cells from the query to the block's nearest edge with grid
-                # cells beyond it: every point outside the block lies farther
-                gap = np.minimum(np.where(lo > 0, u - lo, np.inf),
-                                 np.where(hi < self.shape, hi - u, np.inf)).min(axis=1)
-                d, m = self._search_blocks(q[pending], lo, hi,
-                                           pending if skip_self else None)
-                # the margin covers the rounding of the cell coordinates
-                done = np.minimum(d, bound) <= (gap - 1e-9) * self.side
-                found = done & (d <= bound) & np.isfinite(d)
-                dist[pending[found]] = d[found]
-                index[pending[found]] = m[found]
-                pending = pending[~done]
-                reach *= 2
-        return dist, index
-
-    def _search_blocks(self, q, lo, hi, skip):
-        """Nearest point to each query among the cells [lo, hi) of its block,
-        as (distance, index); (inf, N) for an empty block.  Queries go in
-        batches of about ``_PAIR_CHUNK`` (query, point) pairs."""
-        nx, ny = self.shape
-        n = len(self.order)
-        x0, x1 = np.clip(lo[:, 0], 0, nx), np.clip(hi[:, 0], 0, nx)
-        y0, y1 = np.clip(lo[:, 1], 0, ny), np.clip(hi[:, 1], 0, ny)
-        # one run of sorted points per (query, cell row) of its block
-        rows = np.where(x1 > x0, y1 - y0, 0)
-        owner = np.repeat(np.arange(len(q)), rows)
-        row = y0[owner] + np.arange(owner.size) - np.repeat(np.cumsum(rows) - rows, rows)
-        first = self.start[row * nx + x0[owner]]
-        count = self.start[row * nx + x1[owner]] - first
-        run_end = np.cumsum(rows)
-        pairs = np.cumsum(np.bincount(owner, weights=count, minlength=len(q)))
-        d2 = np.full(len(q), np.inf)
-        m = np.full(len(q), n)
-        a = 0
-        while a < len(q):
-            before = pairs[a - 1] if a else 0.0
-            b = max(a + 1, int(np.searchsorted(pairs, before + _PAIR_CHUNK, side="right")))
-            r0, r1 = (run_end[a - 1] if a else 0), run_end[b - 1]
-            f, c = first[r0:r1], count[r0:r1]
-            pos = np.arange(c.sum()) + np.repeat(f - (np.cumsum(c) - c), c)
-            who = np.repeat(owner[r0:r1], c)
-            a = b
-            if pos.size == 0:
-                continue
-            dx = self.points[pos, 0] - q[who, 0]
-            dy = self.points[pos, 1] - q[who, 1]
-            pd2 = dx * dx + dy * dy
-            idx = self.order[pos]
-            if skip is not None:
-                pd2[idx == skip[who]] = np.inf
-            cut = np.flatnonzero(np.r_[True, who[1:] != who[:-1]])
-            best = np.minimum.reduceat(pd2, cut)
-            tied = pd2 == np.repeat(best, np.diff(np.r_[cut, who.size]))
-            d2[who[cut]] = best
-            m[who[cut]] = np.minimum.reduceat(np.where(tied, idx, n), cut)
-        return np.sqrt(d2), m
-
-
 def _orient_axes(centers: np.ndarray, start: int, spacing: float):
     """Initial +i and +j lattice steps from the start blob's neighbors.
 
@@ -376,28 +178,65 @@ def _orient_axes(centers: np.ndarray, start: int, spacing: float):
     return step_i, step_j
 
 
+def _peaks(raster: np.ndarray, points: np.ndarray, radius: float):
+    """The brightest pixels within ``radius`` of each point (x, y): their
+    mean position as (N, 2) coordinates (x, y), which is a clipped disc top's
+    center, and their (N,) value as floats.  Pixels off the raster are not
+    searched; a point with none in reach gets the lowest value of the
+    raster's dtype.
+    """
+    h, w = raster.shape
+    reach = int(radius) + 1
+    side = 2 * reach + 1
+    offsets = np.arange(side)
+    # a window moved inside the raster still holds every pixel of the raster
+    # within reach of its point
+    x0 = np.clip(np.rint(points[:, 0]).astype(np.intp) - reach, 0, w - side)
+    y0 = np.clip(np.rint(points[:, 1]).astype(np.intp) - reach, 0, h - side)
+    dx2 = (x0[:, None] + offsets - points[:, :1]) ** 2                 # (N, S)
+    room = radius * radius - (y0[:, None] + offsets - points[:, 1:]) ** 2
+    window = sliding_window_view(raster, (side, side))[y0, x0]         # (N, S, S)
+    lowest = -np.inf if raster.dtype.kind == "f" else np.iinfo(raster.dtype).min
+    np.putmask(window, dx2[:, None, :] > room[:, :, None], lowest)
+    top = window.max(axis=(1, 2))
+    at = window == top[:, None, None]
+    n = at.sum(axis=(1, 2))
+    mean = np.column_stack([x0 + at.sum(axis=1) @ offsets / n,
+                            y0 + at.sum(axis=2) @ offsets / n])
+    return mean, top.astype(float)
+
+
 def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImageCenters:
     """Detect and label micro-image centers on a white (pure scene) image.
 
-    Blobs are local maxima refined by intensity-weighted centroids.  Seeds
-    within ``_CENTROID_RADIUS`` pitch of the border are dropped first: their
+    Only a central patch of ``_PATCH_PITCHES`` pitches square is searched in
+    full.  Its local maxima, refined by intensity-weighted centroids, give the
+    background percentile, the median nearest-center spacing and the start
+    blob, the one nearest the image center.  Seeds within
+    ``_CENTROID_RADIUS`` pitch of the raster border are dropped first: their
     windows would clip, and since rounding is monotone every kept seed's
     (2r+1)-square window lies wholly inside the raster.
 
-    Labels are grown outward from the blob nearest the image center by a
-    breadth-first nearest-neighbor walk, so smooth lattice distortion
-    (rotation, perspective) is tolerated.  Each labeled blob predicts its four
-    neighbors from the local lattice steps it was reached with; the blob
-    nearest a prediction, if within ``_ATTACH_RADIUS`` spacing and not yet
-    labeled, takes the neighbor's label.  A prediction depends only on its
-    parent's position and steps, so one whole BFS frontier is queried at once
-    and claims are granted in queue order (+i, -i, +j, -j per parent), the
-    first claim on a blob winning; this is the order of a one-at-a-time walk.
-    Blobs that a lattice defect gives one label keep the walk's order.
+    Labels are grown outward from the start blob by a breadth-first lattice
+    walk, so smooth lattice distortion (rotation, perspective) is tolerated.
+    Each labelled blob predicts its four neighbours from the local lattice
+    steps it was reached with.  A prediction depends only on its parent's
+    position and steps, so a whole BFS frontier predicts at once, and the
+    first claim on each label not yet held, in queue order (+i, -i, +j, -j per
+    parent) is confirmed in place: the brightest pixels within
+    ``_ATTACH_RADIUS`` spacing of the predicted site must rise above the
+    background by more than ``_PEAK_FRACTION`` of its parent's peak, their
+    mean must lie outside the border margin, and the centroid of the window
+    on that mean must lie within the same radius of the site.  A confirmed
+    claim takes the label unless an earlier claim holds the pixel its window
+    sits on, so each label and each such pixel holds at most one blob.
+    Beyond the patch the raster is read only in these windows.
     """
     raster = np.asarray(white_image)
     if raster.ndim != 2:
         raise ValueError("white image must be a single-channel raster")
+    if not math.isfinite(expected_pitch):
+        raise ValueError(f"expected pitch must be finite, got {expected_pitch}")
     if expected_pitch <= 4.0:
         raise ValueError("expected pitch must exceed 4 pixels")
     if min(raster.shape) < 3 * expected_pitch:
@@ -410,12 +249,15 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
         if bad:
             raise ValueError(f"white image holds {bad} non-finite pixel(s)")
 
-    background = _percentile(raster, _BACKGROUND_PERCENTILE)
-    seeds = _blob_candidates(raster, background, expected_pitch)
+    h, w = raster.shape
+    half = int(round(_PATCH_PITCHES * expected_pitch / 2))
+    y0, x0 = max(h // 2 - half, 0), max(w // 2 - half, 0)
+    patch = raster[y0:h // 2 + half + 1, x0:w // 2 + half + 1]
+    background = float(np.percentile(patch, _BACKGROUND_PERCENTILE))
+    seeds = _blob_candidates(patch, background, expected_pitch) + (x0, y0)
     # blobs whose centroid window would clip at the border carry biased
     # centroids (truncated discs); drop them before refinement
     margin = _CENTROID_RADIUS * expected_pitch
-    h, w = raster.shape
     keep = ((seeds[:, 0] > margin) & (seeds[:, 0] < w - 1 - margin)
             & (seeds[:, 1] > margin) & (seeds[:, 1] < h - 1 - margin))
     seeds = seeds[keep]
@@ -423,8 +265,9 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
         raise NoGridFound(f"only {seeds.shape[0]} usable blobs found")
     centers = _refine_centroids(raster, background, seeds, expected_pitch)
 
-    grid = _CellGrid(centers)
-    spacing = float(np.median(grid.nearest(centers, skip_self=True)[0]))
+    gap = np.hypot(centers[:, None, 0] - centers[:, 0], centers[:, None, 1] - centers[:, 1])
+    np.fill_diagonal(gap, np.inf)
+    spacing = float(np.median(gap.min(axis=1)))
     if abs(spacing - expected_pitch) > 0.25 * expected_pitch:
         raise AmbiguousPitch(
             f"median spacing {spacing:.2f} px deviates from expected "
@@ -435,35 +278,53 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
     step_i, step_j = _orient_axes(centers, start, spacing)
 
     attach = _ATTACH_RADIUS * spacing
-    labels = np.zeros((len(centers), 2), dtype=int)
-    labeled = np.zeros(len(centers), dtype=bool)
-    labeled[start] = True
-    visited = [np.array([start])]
-    frontier = visited[0]
+    pos = centers[[start]]
+    label = np.zeros((1, 2), dtype=np.int64)
+    peak, value = _peaks(raster, pos, attach)
+    height = value - background
+    # labels and peak pixels held by a blob, each as one integer
+    held_labels, held_peaks = {0}, {int(np.rint(peak[0, 1]) * w + np.rint(peak[0, 0]))}
+    found = [(label, pos)]
     si = np.asarray(step_i, float)[None]
     sj = np.asarray(step_j, float)[None]
-    while frontier.size:
-        pos = centers[frontier]
+    while len(pos):
         steps = np.stack([si, -si, sj, -sj], axis=1)          # (F, 4, 2)
-        dist, m = grid.nearest((pos[:, None, :] + steps).reshape(-1, 2), attach)
-        cand = np.flatnonzero(dist <= attach)
-        cand = cand[~labeled[m[cand]]]
-        _, first = np.unique(m[cand], return_index=True)
-        claim = cand[np.sort(first)]
+        sites = (pos[:, None, :] + steps).reshape(-1, 2)
+        names = (label[:, None, :] + _MOVES).reshape(-1, 2)
+        codes = ((names[:, 0] << 32) + names[:, 1]).tolist()
+        first = {}
+        for k, code in enumerate(codes):
+            if code not in held_labels:
+                first.setdefault(code, k)
+        claim = np.fromiter(first.values(), np.intp, len(first))
+        peak, value = _peaks(raster, sites[claim], attach)
+        # a peak whose centroid window would clip at the border is a
+        # truncated disc, dropped like a seed there
+        keep = ((value - background > _PEAK_FRACTION * height[claim // 4])
+                & (peak > margin).all(axis=1)
+                & (peak < (w - 1 - margin, h - 1 - margin)).all(axis=1))
+        claim, peak, value = claim[keep], peak[keep], value[keep]
+        blob = _refine_centroids(raster, background, peak, expected_pitch)
+        # a peak is known by the pixel its centroid window sits on
+        lin = (np.rint(peak[:, 1]) * w + np.rint(peak[:, 0])).astype(np.int64).tolist()
+        granted = []
+        for k in np.flatnonzero(np.hypot(*(blob - sites[claim]).T) <= attach).tolist():
+            if lin[k] not in held_peaks:
+                held_peaks.add(lin[k])
+                held_labels.add(codes[claim[k]])
+                granted.append(k)
+        claim, value, blob = claim[granted], value[granted], blob[granted]
         parent, move = np.divmod(claim, 4)
-        new = m[claim]
-        labeled[new] = True
-        labels[new] = labels[frontier[parent]] + _MOVES[move]
-        local = centers[new] - pos[parent]
+        local = blob - pos[parent]
         si = np.where((move == 0)[:, None], local,
                       np.where((move == 1)[:, None], -local, si[parent]))
         sj = np.where((move == 2)[:, None], local,
                       np.where((move == 3)[:, None], -local, sj[parent]))
-        frontier = new
-        visited.append(new)
+        pos, label, height = blob, names[claim], value - background
+        found.append((label, pos))
 
-    order = np.concatenate(visited)
-    return MicroImageCenters(labels[order], centers[order])
+    labels, pixels = zip(*found)
+    return MicroImageCenters(np.concatenate(labels), np.concatenate(pixels))
 
 
 def row_slopes(centers: MicroImageCenters) -> list[tuple[int, float]]:

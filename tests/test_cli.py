@@ -585,6 +585,14 @@ class TestRectify:
         assert ("AmbiguousPitch: median spacing 0.16 px deviates from expected "
                 "35.07 px by more than 25%") in caplog.text
 
+    @pytest.mark.parametrize("pitch", ["nan", "-5", "inf", "4"])
+    def test_bad_pitch_exit_2(self, sim_dir, tmp_path, caplog, pitch):
+        white = tmp_path / "white.pgm"
+        write_pgm(white, np.full((600, 800), 500, dtype=np.uint16))
+        assert run("rectify", sim_dir / "observations.json", "--white-image", white,
+                   "--pitch", pitch, "--out", tmp_path / "r") == 2
+        assert "--pitch must be a finite number above 4 pixels" in caplog.text
+
     @pytest.mark.parametrize("content", [
         None,
         b"P2\n40 30\n255\n" + b"0 " * 1200,

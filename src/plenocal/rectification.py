@@ -33,6 +33,7 @@ _CENTROID_RADIUS = 0.45
 _ATTACH_RADIUS = 0.35         # lattice walk: max deviation from predicted site
 _MOVES = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])  # +i, -i, +j, -j
 _CENTROID_PIXELS = 1 << 18    # centroid window pixels gathered per batch
+_NEAREST_PAIRS = 1 << 18      # (query, point) distances taken per batch
 _DLT_RANK_TOL = 1e-8
 
 
@@ -155,6 +156,34 @@ def _refine_centroids(raster: np.ndarray, background: float, seeds: np.ndarray,
     return out
 
 
+def _nearest(points: np.ndarray, queries: np.ndarray, bound: float = math.inf,
+             skip_self: bool = False):
+    """Distance to and index of each query's nearest point, by brute force:
+    the lowest index among equally near ones, and distance inf and index N
+    where no point lies within ``bound`` (inclusive).  With ``skip_self``
+    query k is point k, which is passed over, as cKDTree's second neighbour.
+    Queries go in batches of about ``_NEAREST_PAIRS`` (query, point) pairs,
+    so a patch crowded with seeds cannot build an N x N distance matrix.
+    """
+    n = len(points)
+    dist = np.full(len(queries), np.inf)
+    index = np.full(len(queries), n)
+    chunk = max(1, _NEAREST_PAIRS // max(n, 1))
+    for lo in range(0, len(queries) if n else 0, chunk):
+        dx = points[:, 0] - queries[lo:lo + chunk, :1]
+        dy = points[:, 1] - queries[lo:lo + chunk, 1:]
+        d2 = dx * dx + dy * dy
+        if skip_self:
+            rows = np.arange(len(d2))
+            d2[rows, rows + lo] = np.inf
+        m = d2.argmin(axis=1)
+        d = np.sqrt(d2[np.arange(len(d2)), m])
+        near = np.isfinite(d) & (d <= bound)
+        dist[lo:lo + chunk][near] = d[near]
+        index[lo:lo + chunk][near] = m[near]
+    return dist, index
+
+
 def _orient_axes(centers: np.ndarray, start: int, spacing: float):
     """Initial +i and +j lattice steps from the start blob's neighbors.
 
@@ -265,16 +294,13 @@ def detect_centers(white_image: np.ndarray, expected_pitch: float) -> MicroImage
         raise NoGridFound(f"only {seeds.shape[0]} usable blobs found")
     centers = _refine_centroids(raster, background, seeds, expected_pitch)
 
-    gap = np.hypot(centers[:, None, 0] - centers[:, 0], centers[:, None, 1] - centers[:, 1])
-    np.fill_diagonal(gap, np.inf)
-    spacing = float(np.median(gap.min(axis=1)))
+    spacing = float(np.median(_nearest(centers, centers, skip_self=True)[0]))
     if abs(spacing - expected_pitch) > 0.25 * expected_pitch:
         raise AmbiguousPitch(
             f"median spacing {spacing:.2f} px deviates from expected "
             f"{expected_pitch:.2f} px by more than 25%")
 
-    start = int(np.argmin(np.hypot(centers[:, 0] - (w - 1) / 2,
-                                   centers[:, 1] - (h - 1) / 2)))
+    start = int(_nearest(centers, np.array([[(w - 1) / 2, (h - 1) / 2]]))[1][0])
     step_i, step_j = _orient_axes(centers, start, spacing)
 
     attach = _ATTACH_RADIUS * spacing

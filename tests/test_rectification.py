@@ -667,6 +667,102 @@ class TestBlobCandidatesMatchReference:
         assert got.shape == (0, 2)
 
 
+def lattice_with_holes(pitch=7.0):
+    """A 30 x 20 lattice turned by 0.1 rad, a fifth of its points dropped."""
+    i, j = np.meshgrid(np.arange(30), np.arange(20), indexing="ij")
+    c, s = math.cos(0.1), math.sin(0.1)
+    pts = pitch * np.column_stack([c * i.ravel() - s * j.ravel(),
+                                   s * i.ravel() + c * j.ravel()]) + (50.0, 20.0)
+    return pts[np.random.default_rng(0).random(len(pts)) >= 0.2]
+
+
+def dislocated_points(pitch=7.0):
+    """A square lattice whose upper half holds one extra column, squeezed in
+    over the lower half's 20: an edge dislocation."""
+    lower = [(x * pitch, y * pitch) for y in range(8) for x in range(20)]
+    upper = [(x * pitch * 20 / 21, y * pitch) for y in range(8, 16) for x in range(21)]
+    return np.array(lower + upper, dtype=float)
+
+
+POINT_SETS = {
+    "random": lambda: np.random.default_rng(1).uniform(0.0, 300.0, (500, 2)),
+    "single": lambda: np.array([[4.0, -2.5]]),
+    "pair": lambda: np.array([[0.0, 0.0], [3.0, 4.0]]),
+    "lattice-with-holes": lattice_with_holes,
+    "dislocation": dislocated_points,
+    "duplicates": lambda: np.round(np.random.default_rng(2).uniform(0.0, 12.0, (400, 2))),
+    "all-equal": lambda: np.full((5, 2), 3.25),
+    "collinear": lambda: np.column_stack([np.arange(50.0) ** 1.5, np.full(50, 8.0)]),
+}
+
+
+class TestCellGrid:
+    """Nearest points from the brute-force search that gives the seed
+    patch's spacing and start blob, and that took over from a cell-grid
+    index, are cKDTree's: the same distances, bit for bit, and among equally
+    near points the lowest index."""
+
+    def queries(self, points):
+        rng = np.random.default_rng(3)
+        lo, hi = points.min(axis=0), points.max(axis=0)
+        span = np.maximum(hi - lo, 1.0)
+        inside = rng.uniform(lo, hi, (300, 2))
+        outside = rng.uniform(lo - 20 * span, hi + 20 * span, (300, 2))
+        # a lattice of half-point steps over the bounding box and beyond
+        k = np.arange(-4, 2 * math.isqrt(len(points)) + 5) / (2 * math.isqrt(len(points)))
+        lattice = lo + span * np.stack(np.meshgrid(k, k), -1).reshape(-1, 2)
+        return np.concatenate([points, points + 0.3, inside, outside, lattice,
+                               [[1e7, -1e7]]])
+
+    def assert_matches(self, points, queries, bound=math.inf):
+        dist, index = rectification._nearest(points, queries, bound)
+        want, _ = cKDTree(points).query(queries)
+        miss = want > bound
+        np.testing.assert_array_equal(dist, np.where(miss, np.inf, want))
+        d = np.sqrt(((points[None] - queries[:, None]) ** 2).sum(axis=2))
+        lowest = np.argmax(d == want[:, None], axis=1)
+        np.testing.assert_array_equal(index, np.where(miss, len(points), lowest))
+
+    @pytest.mark.parametrize("name", POINT_SETS)
+    def test_nearest(self, name):
+        points = POINT_SETS[name]()
+        self.assert_matches(points, self.queries(points))
+
+    @pytest.mark.parametrize("name", POINT_SETS)
+    def test_nearest_within_a_bound(self, name):
+        points = POINT_SETS[name]()
+        queries = self.queries(points)
+        for bound in (0.0, 0.5, 2.45, 40.0):
+            self.assert_matches(points, queries, bound)
+
+    @pytest.mark.parametrize("name", POINT_SETS)
+    def test_nearest_other_point(self, name):
+        points = POINT_SETS[name]()
+        dist, index = rectification._nearest(points, points, skip_self=True)
+        if len(points) == 1:
+            assert dist.tolist() == [np.inf] and index.tolist() == [1]
+        else:
+            np.testing.assert_array_equal(dist, cKDTree(points).query(points, k=2)[0][:, 1])
+            assert (index != np.arange(len(points))).all()
+
+    def test_queries_are_batched(self):
+        # 6000 points, 36M (query, point) pairs: 275 MiB for each array over
+        # them at once, against about 6 MiB for three arrays over one batch
+        rng = np.random.default_rng(4)
+        sites = rng.uniform(0.0, 4000.0, (60, 2))
+        points = np.repeat(sites, 100, axis=0) + rng.normal(0.0, 0.5, (6000, 2))
+        tracemalloc.start()
+        try:
+            dist, _ = rectification._nearest(points, points, skip_self=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sample = rng.choice(len(points), 1000, replace=False)
+        want = cKDTree(points).query(points[sample], k=2)[0][:, 1]
+        np.testing.assert_array_equal(dist[sample], want)
+        assert peak / 2**20 < 16
+
+
 class TestRectifyObservations:
     def test_identity(self):
         obs = Observations([0], [1], [(2, 3)], [(10.5, -4.0)])

@@ -42,8 +42,8 @@ _LM_DIAG_FLOOR = 1e-6            # damping floor, relative to the mean of diag(J
 _LM_UP, _LM_DOWN = 10.0, 0.1
 _LM_MAX_REJECTED = 20
 _GRAD_TOL = 1e-10                # relative to the initial gradient inf-norm
-_COST_TOL = 1e-12                # an accepted step lowering the cost by less
-                                 # than this fraction ends the refinement
+_COST_TOL = 1e-12                # a candidate changing the cost by less than
+                                 # this fraction ends the refinement
 _STEP_TOL = 1e-12
 
 
@@ -515,7 +515,9 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
     on the reduced intrinsic system (see ``_NormalEquations``).  The refinement
     stops once the gradient has shrunk by ``_GRAD_TOL`` ("gradient"), the
     step vanishes ("step"), an accepted step lowers the cost by less than
-    ``_COST_TOL`` of it ("cost"; the cost then sits at its numerical floor),
+    ``_COST_TOL`` of it or a rejected one raises it by less ("cost"; the cost
+    then sits at its numerical floor, and the rejected candidate gets no
+    trace entry since it changes nothing),
     ``_LM_MAX_REJECTED`` steps in a row are rejected after some progress
     ("rejections"), or at ``options.max_iterations`` ("max_iterations").
 
@@ -600,6 +602,11 @@ def refine(initial: CalibrationResult, observations: Observations, board_points,
         ev = evaluate(candidate, False)
         new_cost = float(np.vdot(ev[0], ev[0])) if ev is not None else math.inf
         accepted = new_cost < cost
+        if not accepted and new_cost - cost < _COST_TOL * cost:
+            # a rise within rounding noise: the cost sits at its floor, and
+            # raising the damping would only shrink the step to nothing
+            stop = "cost"
+            break
         trace.append({"iteration": iteration, "cost": cost, "candidate_cost": new_cost,
                       "damping": damping, "accepted": accepted,
                       "grad_inf": grad_inf})

@@ -27,7 +27,7 @@ logger = logging.getLogger("plenocal.simulator")
 
 _WINDOW_MARGIN = 3        # candidate lens window padding, lens indices
 _WINDOW_CAP = 60          # cap on the candidate radius near the focus singularity
-_STAMP_CHUNK = 512        # micro-images rendered per vectorized white-image batch
+_BAND_ROWS = 128          # white-image rows finished per band
 
 
 @dataclass(frozen=True)
@@ -467,7 +467,15 @@ def synthesize_observations(spec: PhysicalCameraSpec, board: BoardSpec,
 def synthesize_white_image(spec: PhysicalCameraSpec, mla_rotation=None) -> np.ndarray:
     """Render a white-scene raster: one Gaussian-profile disc per micro-image,
     the MLA turned by ``mla_rotation``, a Rodrigues vector in radians, when
-    given.  Raises ValueError unless the sensor sits behind the MLA."""
+    given.  Raises ValueError unless the sensor sits behind the MLA.
+
+    Each lens adds a (2 half + 1)^2 stamp, the outer product of a row and a
+    column profile, at its truncated center; pixels off the sensor are
+    dropped.  Lenses are taken in order of their window's top row and added
+    in bands of ``_BAND_ROWS`` rows to one float buffer, which carries the
+    rows a band's windows hang over into the next band; each band's finished
+    rows are clipped into the uint16 raster.
+    """
     check_sensor_behind_mla(spec)
     i_rng, j_rng = lens_index_range(spec)
     gi, gj = np.meshgrid(np.arange(i_rng.start, i_rng.stop),
@@ -478,24 +486,35 @@ def synthesize_white_image(spec: PhysicalCameraSpec, mla_rotation=None) -> np.nd
     h, w = spec.height, spec.width
     sigma = spec.micro_image_radius / 3.0
     half = int(math.ceil(3.0 * sigma))
+    n = 2 * half + 1
     amp = 58000.0
     cx, cy = centers.T
     centers = centers[(cx >= -half) & (cx <= w + half) & (cy >= -half) & (cy <= h + half)]
-    # each lens stamps a (2 half + 1)^2 window at its truncated center;
-    # pixels off the sensor are dropped and overlaps add up in lens order
-    offsets = np.arange(-half, half + 1)
-    img = np.zeros((h, w))
-    for start in range(0, len(centers), _STAMP_CHUNK):
-        cx, cy = (c[:, None] for c in centers[start:start + _STAMP_CHUNK].T)
-        xs = cx.astype(int) + offsets                   # (K, S) window columns
-        ys = cy.astype(int) + offsets                   # (K, S) window rows
-        stamp = amp * np.exp(
-            -((xs - cx)[:, None, :] ** 2 + (ys - cy)[:, :, None] ** 2)
-            / (2.0 * sigma * sigma))
-        inside = ((ys >= 0) & (ys < h))[:, :, None] & ((xs >= 0) & (xs < w))[:, None, :]
-        flat = ys[:, :, None] * w + xs[:, None, :]
-        np.add.at(img.reshape(-1), flat[inside], stamp[inside])
-    return np.clip(img, 0.0, 65535.0, out=img).astype(np.uint16)
+    # window origins: int() truncates toward zero, so top rows lie in
+    # [1 - n, h] and left columns in [1 - n, w]
+    corners = centers.astype(np.int64) - half
+    order = np.argsort(corners[:, 1], kind="stable")
+    (cx, cy), (x0, y0) = centers[order].T, corners[order].T
+    span = np.arange(n)
+    img = np.empty((h, w), dtype=np.uint16)
+    # buffer row 0 is the band's top row, column n is sensor column 0
+    buf = np.zeros((_BAND_ROWS + n, w + 2 * n))
+    for top in range(-n, h, _BAND_ROWS):
+        lo, hi = np.searchsorted(y0, [top, top + _BAND_ROWS])
+        dy = y0[lo:hi, None] + span - cy[lo:hi, None]
+        dx = x0[lo:hi, None] + span - cx[lo:hi, None]
+        rows = amp * np.exp(-dy ** 2 / (2.0 * sigma * sigma))
+        stamps = rows[:, :, None] * np.exp(-dx ** 2 / (2.0 * sigma * sigma))[:, None, :]
+        for stamp, y, x in zip(stamps, (y0[lo:hi] - top).tolist(),
+                               (x0[lo:hi] + n).tolist()):
+            buf[y:y + n, x:x + n] += stamp
+        r0, r1 = max(top, 0), min(top + _BAND_ROWS, h)
+        if r0 < r1:
+            np.minimum(buf[r0 - top:r1 - top, n:n + w], 65535.0, out=img[r0:r1],
+                       casting="unsafe")
+        buf[:n] = buf[_BAND_ROWS:]
+        buf[n:] = 0.0
+    return img
 
 
 def reference_camera() -> PhysicalCameraSpec:

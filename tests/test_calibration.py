@@ -447,6 +447,31 @@ class TestRefine:
         assert out.stop in ("gradient", "step", "cost", "rejections")
         assert len(out.trace) < 200
 
+    def test_rejected_step_at_the_cost_floor_stops(self, camera, board, board_points,
+                                                   setting, monkeypatch):
+        # trial 44 of the 12-pose sweep at seed 1 (sigma 0.1): after 9 accepted
+        # steps every candidate lies within 1.5e-13 of the cost, and without a
+        # floor on rejected steps the damping climbs through 13 rejections
+        # until the step vanishes
+        poses = sim.generate_poses(12, _derive(1, 3, 44),
+                                   sim.default_envelope(camera, board))
+        obs = sim.synthesize_observations(camera, board, poses, DistortionParams(), 0.1,
+                                          _derive(1, 4, 44))
+        options = RefineOptions(sensor_size=camera.sensor_resolution)
+        out = calibrate(obs, board_points, setting, options)
+        # no floor at all: the old rule here, where no accepted step reached it
+        monkeypatch.setattr("plenocal.calibration._COST_TOL", 0.0)
+        old = calibrate(obs, board_points, setting, options)
+        assert (out.stop, len(out.trace)) == ("cost", 9)
+        assert (old.stop, len(old.trace)) == ("step", 22)
+        assert out.trace[-1]["accepted"]
+        assert out.trace == old.trace[:9]
+        assert not any(t["accepted"] for t in old.trace[9:])
+        a, b = out.refined, old.refined
+        assert (a.tpp, a.dist, a.rms) == (b.tpp, b.dist, b.rms)
+        assert a.poses.tobytes() == b.poses.tobytes()
+        assert a.residuals.tobytes() == b.residuals.tobytes()
+
     def test_memory_linear_in_observations(self, observations48, board_points,
                                            setting, camera):
         # 48 poses, about 23k observations: a dense 2N x (9 + 6P) Jacobian

@@ -750,3 +750,21 @@ def test_no_scipy_at_run_time():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
     assert "usage: plenocal" in done.stdout
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_white_image_simulate_peak_rss(tmp_path):
+    # the reference camera's full-size white image: measured 90-93 MiB for
+    # the whole process (3 or 12 poses), 152-156 MiB when the render held a
+    # float64 raster of the sensor; the wrapper's only child is the CLI run
+    code = ("import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'plenocal', 'simulate', '--out',\n"
+            "                sys.argv[1], '--poses', '3', '--white-image'], check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    src = Path(plenocal.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "sim")],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (tmp_path / "sim" / "white.pgm").exists()
+    assert int(done.stdout.splitlines()[-1]) / 1024 < 120

@@ -504,6 +504,57 @@ class TestWhiteImageEqualsReference:
         assert got.any()
         assert got.tobytes() == reference_white_image(small).tobytes()
 
+    @pytest.mark.parametrize("rotation", [None, np.radians((0.5, -0.4, 2.0))],
+                             ids=["aligned", "rotated"])
+    @pytest.mark.parametrize("radius", [36.0, 70.0])
+    def test_band_edges(self, camera, rotation, radius):
+        # more than three bands of rows, windows across all four sensor
+        # edges and pixels under three or more windows; at radius 70 a
+        # window is taller than a band
+        pitch = camera.pixel_pitch
+        h, w = 3 * sim._BAND_ROWS + 47, 190
+        small = sim.PhysicalCameraSpec(
+            main_focal=camera.main_focal,
+            sensor_origin=(8.3 * pitch, 4.1 * pitch, camera.sensor_origin[2]),
+            mla_origin=(0.0, 0.0, camera.mla_origin[2]), pixel_pitch=pitch,
+            sensor_resolution=(w, h), lens_pitch=camera.lens_pitch,
+            micro_image_radius=radius)
+        i_rng, j_rng = sim.lens_index_range(small)
+        labels = np.array([(i, j) for i in i_rng for j in j_rng])
+        centers = sim.micro_lenses(small, labels, rotation)[1]
+        half = int(np.ceil(small.micro_image_radius))
+        n = 2 * half + 1
+        cx, cy = centers.T
+        kept = (cx >= -half) & (cx <= w + half) & (cy >= -half) & (cy <= h + half)
+        # windows per pixel on the sensor padded by n on every side
+        depth = np.zeros((h + 2 * n, w + 2 * n), dtype=int)
+        for x, y in centers[kept].astype(int) - half:
+            depth[y + n:y + 2 * n, x + n:x + 2 * n] += 1
+        assert depth[n:n + h, n:n + w].max() >= 3
+        assert depth[n:n + h, n - 1].any() and depth[n:n + h, n + w].any()
+        assert depth[n - 1, n:n + w].any() and depth[n + h, n:n + w].any()
+        got = sim.synthesize_white_image(small, rotation)
+        assert got.tobytes() == reference_white_image(small, rotation).tobytes()
+
+
+# the benchmark's MLA misalignment: 0.5 degrees about a mostly in-plane axis
+BENCH_AXIS = np.array([0.064, 0.048, 0.99679])
+BENCH_ROTATION = np.radians(0.5 * BENCH_AXIS / np.linalg.norm(BENCH_AXIS))
+
+
+def test_white_image_memory(camera):
+    # measured 34.8 MiB: the uint16 raster (20.4 MiB), the band buffer
+    # (5.1 MiB), one band's stamps and the lens centers; a float64 raster of
+    # the sensor alone would take 81.7 MiB (106 MiB peak when one was used)
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        sim.synthesize_white_image(camera, BENCH_ROTATION)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / 2**20 < 48
+
 
 def test_synthesis_memory_is_per_pose(camera, board, poses48):
     # batching all poses at once would peak near 50 MiB here
